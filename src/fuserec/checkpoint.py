@@ -9,6 +9,7 @@ save -> load -> save round trip is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -47,30 +48,33 @@ def save_tensors(path: str, named: dict[str, np.ndarray]) -> None:
 def load_tensors(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise CheckpointError(f"{path}: truncated, {len(blob)} bytes where at least {off + n} are needed")
+        off += n
+        return blob[off - n : off]
+
+    if take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a CKPT1 container")
-    off = len(MAGIC)
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (count,) = struct.unpack("<I", take(4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        code, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
+        code, rank = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        width = 8 if code == 0 else 4
-        arr = np.frombuffer(blob, dtype=_DTYPES[code], count=n, offset=off).reshape(dims).copy()
-        off += n * width
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        raw = take(math.prod(dims) * np.dtype(_DTYPES[code]).itemsize)
         if name in out:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = arr
+        out[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(dims).copy()
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out
@@ -84,4 +88,7 @@ def save_meta(path: str, meta: dict) -> None:
 
 def load_meta(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: unreadable metadata ({exc})") from None

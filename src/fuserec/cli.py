@@ -14,7 +14,7 @@ from . import checkpoint as ckpt
 from . import corpus as cp
 from . import trainer as tr
 from .collab import CfEmbeddings, CfTrainConfig, train_cf
-from .config import ConfigError, load_config
+from .config import ConfigError, build, load_config
 from .evaluate import evaluate_model
 from .fusion import export_projected
 from .lm import LmConfig
@@ -25,21 +25,10 @@ class UsageError(ValueError):
     pass
 
 
-def _split_spec(cfg: dict, seed_override: int | None) -> cp.SplitSpec:
-    c = cfg["corpus"]
-    return cp.SplitSpec(
-        mode=c["split"],
-        k_core=c["k_core"],
-        k_core_iterative=c["k_core_iterative"],
-        few_shot_n=c["few_shot_n"],
-        cold_user_fraction=c["cold_user_fraction"],
-        seed=c["seed"] if seed_override is None else seed_override,
-    )
-
-
 def cmd_build_corpus(cfg: dict, args) -> int:
+    spec = build(cp.SplitSpec, cfg, "corpus")
     parsed = cp.parse_interactions(args.input, cfg["corpus"]["format"])
-    corpus = cp.build_corpus(parsed, _split_spec(cfg, args.seed), history_limit=cfg["corpus"]["history_limit"])
+    corpus = cp.build_corpus(parsed, spec, history_limit=cfg["corpus"]["history_limit"])
     cp.save_corpus(corpus, args.out)
     stats = cp.corpus_stats(corpus, n_neg=cfg["corpus"]["n_neg"], seed=corpus.spec.seed)
     print(f"duplicates dropped: {parsed.duplicates_dropped}; users below 3 interactions dropped: {corpus.split.dropped_users}")
@@ -57,20 +46,9 @@ def _require(path: str, produced_by: str) -> None:
 
 
 def cmd_train_cf(cfg: dict, args) -> int:
+    cf_cfg = build(CfTrainConfig, cfg, "cf", history_limit=cfg["corpus"]["history_limit"])
     _require(os.path.join(args.corpus, "interactions.tsv"), "fuserec build-corpus")
     corpus = cp.load_corpus(args.corpus)
-    c = cfg["cf"]
-    cf_cfg = CfTrainConfig(
-        backend=c["backend"],
-        objective=c["objective"],
-        d_cf=c["d_cf"],
-        lr=c["lr"],
-        epochs=c["epochs"],
-        negatives_per_positive=c["negatives_per_positive"],
-        batch_size=c["batch_size"],
-        history_limit=cfg["corpus"]["history_limit"],
-        seed=c["seed"] if args.seed is None else args.seed,
-    )
     embs, losses = train_cf(corpus.split.train, corpus.user_index, corpus.item_index, cf_cfg)
     ckpt.save_tensors(args.out, {"cf.user_table": embs.user_table, "cf.item_table": embs.item_table})
     print(f"cf epochs: {len(losses)}; final loss {losses[-1]:.6f}; tables {embs.user_table.shape} / {embs.item_table.shape}")
@@ -80,48 +58,16 @@ def cmd_train_cf(cfg: dict, args) -> int:
 def _load_cf(path: str) -> CfEmbeddings:
     _require(path, "fuserec train-cf")
     tensors = ckpt.load_tensors(path)
+    if set(tensors) != {"cf.user_table", "cf.item_table"}:
+        raise ckpt.CheckpointError(f"{path}: not a CF checkpoint, holds {sorted(tensors)[:3]}")
     return CfEmbeddings(tensors["cf.user_table"], tensors["cf.item_table"])
 
 
-def _train_config(cfg: dict, seed_override: int | None) -> tr.TrainConfig:
-    t = cfg["train"]
-    return tr.TrainConfig(
-        lr=t["lr"],
-        weight_decay=t["weight_decay"],
-        epochs=t["epochs"],
-        batch_size=t["batch"],
-        variant=t["variant"],
-        lambda_orth=t["lambda_orth"],
-        tau=t["tau"],
-        seed=t["seed"] if seed_override is None else seed_override,
-        tasks=tuple(t["tasks"]) if t["tasks"] else (),
-        n_neg=cfg["corpus"]["n_neg"],
-        grad_clip=t["grad_clip"],
-        pretrain_steps=t["pretrain_steps"],
-        pretrain_lr=t["pretrain_lr"],
-        token_table_trainable=t["token_table_trainable"],
-        literal_beta=t["literal_beta"],
-    )
-
-
-def _lm_config(cfg: dict, vocab_size: int) -> LmConfig:
-    l = cfg["lm"]
-    return LmConfig(
-        n_layers=l["L"],
-        n_heads=l["n_heads"],
-        d_model=l["d_llm"],
-        d_ff=l["d_ff"],
-        vocab_size=vocab_size,
-        max_len=l["max_len"],
-        rank=l["r"],
-    )
-
-
 def cmd_train(cfg: dict, args) -> int:
+    train_cfg = build(tr.TrainConfig, cfg, "train", n_neg=cfg["corpus"]["n_neg"])
     corpus = cp.load_corpus(args.corpus)
     cf = _load_cf(args.cf)
-    train_cfg = _train_config(cfg, args.seed)
-    lm_cfg = _lm_config(cfg, len(corpus.vocab))
+    lm_cfg = build(LmConfig, cfg, "lm", vocab_size=len(corpus.vocab))
     result = tr.train(corpus, cf, lm_cfg, train_cfg, fusion_hidden=cfg["fusion"]["h"])
     tr.to_checkpoint(result, train_cfg, args.out)
     log_path = args.log if args.log else args.out + ".log.jsonl"
@@ -137,8 +83,7 @@ def cmd_evaluate(cfg: dict, args) -> int:
     cf = _load_cf(args.cf)
     _require(args.model, "fuserec train")
     model = tr.from_checkpoint(args.model)
-    seed = cfg["train"]["seed"] if args.seed is None else args.seed
-    report = evaluate_model(model, corpus, cf, n_neg=cfg["corpus"]["n_neg"], seed=seed)
+    report = evaluate_model(model, corpus, cf, n_neg=cfg["corpus"]["n_neg"], seed=cfg["train"]["seed"])
     report["variant"] = model.variant
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -165,25 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuserec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_section: str):
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override the stage seed")
         p.add_argument("--set", dest="assignments", action="append", default=[], metavar="SECTION.KEY=VALUE")
+        p.set_defaults(seed_section=seed_section)
 
     p = sub.add_parser("build-corpus", help="ingest, filter, split, tokenize")
-    common(p)
+    common(p, "corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("train-cf", help="train the collaborative backend")
-    common(p)
+    common(p, "cf")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_cf)
 
     p = sub.add_parser("train", help="fine-tune the model")
-    common(p)
+    common(p, "train")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cf", required=True)
     p.add_argument("--out", required=True)
@@ -191,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score the test split")
-    common(p)
+    common(p, "train")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cf", required=True)
     p.add_argument("--model", required=True)
@@ -199,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-embeddings", help="CSV of projected user/item vectors")
-    common(p)
+    common(p, "train")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cf", required=True)
     p.add_argument("--model", required=True)
@@ -216,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, args.assignments)
+        if args.seed is not None:
+            cfg[args.seed_section]["seed"] = args.seed
         return args.func(cfg, args)
     except (ConfigError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -39,6 +39,8 @@ class CfTrainConfig:
             raise ValueError(f"unknown CF objective {self.objective!r}")
         if self.objective == "implicit-bce" and self.negatives_per_positive < 1:
             raise ValueError("implicit-bce needs negatives_per_positive >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class CfEmbeddings:

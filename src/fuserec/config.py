@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+
+from .corpus import TASKS
+from .trainer import VARIANTS
 
 
 class ConfigError(ValueError):
@@ -44,7 +48,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "fusion": {
         "h": (8, int),
-        "variant": (None, str),
     },
     "train": {
         "lr": (1e-4, float),
@@ -64,8 +67,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-_VARIANTS = ("CKF", "NCK", "NPM", "TLM", "NML", "NEN", "S")
-_TASKS = ("RP", "CTR", "TopK", "Explain")
+# JSON key -> dataclass field, where the two names differ
+RENAMES = {"split": "mode", "L": "n_layers", "d_llm": "d_model", "r": "rank", "batch": "batch_size"}
 
 
 def default_config() -> dict:
@@ -152,15 +155,12 @@ def validate(config: dict) -> dict:
         raise ConfigError(f"lm.d_llm: {c['lm']['d_llm']} not divisible by lm.n_heads {c['lm']['n_heads']}")
     if c["train"]["tau"] <= 0:
         raise ConfigError("train.tau: must be > 0")
-    if c["train"]["variant"] not in _VARIANTS:
+    if c["train"]["variant"] not in VARIANTS:
         raise ConfigError(f"train.variant: unknown variant {c['train']['variant']!r}")
-    fv = c["fusion"]["variant"]
-    if fv is not None and fv != c["train"]["variant"]:
-        raise ConfigError(f"fusion.variant {fv!r} conflicts with train.variant {c['train']['variant']!r}")
     tasks = c["train"]["tasks"]
     if tasks is not None:
         for t in tasks:
-            if t not in _TASKS:
+            if t not in TASKS:
                 raise ConfigError(f"train.tasks: unknown task {t!r}")
         if len(set(tasks)) != len(tasks):
             raise ConfigError("train.tasks: duplicate task")
@@ -181,3 +181,18 @@ def load_config(path: str | None, assignments: list[str] | None = None) -> dict:
     if assignments:
         config = apply_set_overrides(config, assignments)
     return validate(config)
+
+
+def build(cls, config: dict, section: str, **fixed):
+    """Dataclass `cls` from one config section.
+
+    Each key of the section whose name, after RENAMES, is a field of `cls` is
+    passed on; `fixed` supplies the fields the section does not hold. A value
+    the dataclass rejects becomes a ConfigError naming the section.
+    """
+    fields = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {RENAMES.get(k, k): v for k, v in config[section].items() if RENAMES.get(k, k) in fields}
+    try:
+        return cls(**{**kwargs, **fixed})
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .prng import SplitMix64
 
@@ -559,10 +559,6 @@ class Vocab:
             return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
-def tokenize(text: str, vocab: Vocab) -> list[int]:
-    return vocab.encode(text)
-
-
 @dataclass(frozen=True)
 class PlaceholderPositions:
     user_pos: int | None
@@ -613,25 +609,26 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         for role, rows in (("train", corpus.split.train), ("valid", corpus.split.valid), ("test", corpus.split.test)):
             for it in rows:
                 fh.write(f"{keys[id(it)]}\t{role}\n")
-    meta = {
-        "mode": corpus.spec.mode,
-        "k_core": corpus.spec.k_core,
-        "k_core_iterative": corpus.spec.k_core_iterative,
-        "few_shot_n": corpus.spec.few_shot_n,
-        "cold_user_fraction": corpus.spec.cold_user_fraction,
-        "seed": corpus.spec.seed,
-        "history_limit": corpus.history_limit,
-        "dropped_users": corpus.split.dropped_users,
-        "cold_user_ids": sorted(corpus.split.cold_user_ids),
-    }
+    meta = asdict(corpus.spec)
+    meta.update(
+        history_limit=corpus.history_limit,
+        dropped_users=corpus.split.dropped_users,
+        cold_user_ids=sorted(corpus.split.cold_user_ids),
+    )
     with open(os.path.join(out_dir, "corpus.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_corpus(corpus_dir: str) -> Corpus:
-    with open(os.path.join(corpus_dir, "corpus.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta_path = os.path.join(corpus_dir, "corpus.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+            spec = SplitSpec(**{f.name: meta[f.name] for f in fields(SplitSpec)})
+            history_limit, dropped, cold = meta["history_limit"], meta["dropped_users"], frozenset(meta["cold_user_ids"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{meta_path}: unreadable corpus metadata ({exc!r})") from None
     interactions: list[Interaction] = []
     with open(os.path.join(corpus_dir, "interactions.tsv"), "r", encoding="utf-8") as fh:
         for line in fh:
@@ -653,16 +650,8 @@ def load_corpus(corpus_dir: str) -> Corpus:
     train = [interactions[i] for i in sorted(roles) if roles[i] == "train"]
     valid = [interactions[i] for i in sorted(roles) if roles[i] == "valid"]
     test = [interactions[i] for i in sorted(roles) if roles[i] == "test"]
-    spec = SplitSpec(
-        mode=meta["mode"],
-        k_core=meta["k_core"],
-        k_core_iterative=meta["k_core_iterative"],
-        few_shot_n=meta["few_shot_n"],
-        cold_user_fraction=meta["cold_user_fraction"],
-        seed=meta["seed"],
-    )
-    split = Split(train, valid, test, meta["dropped_users"], frozenset(meta["cold_user_ids"]))
-    return Corpus(interactions, catalog, split, spec, vocab, meta["history_limit"])
+    split = Split(train, valid, test, dropped, cold)
+    return Corpus(interactions, catalog, split, spec, vocab, history_limit)
 
 
 def corpus_stats(corpus: Corpus, tasks: tuple[str, ...] | None = None, n_neg: int = 10, seed: int = 0) -> dict:

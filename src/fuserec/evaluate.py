@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fusion as fz
 from . import lm as lmmod
-from . import numerics as nm
+from . import trainer as tr
 from .collab import CfEmbeddings
-from .corpus import Corpus, TaskExample, build_examples, locate_placeholders, render_prompt
+from .corpus import Corpus, TaskExample, build_examples
 from .numerics import ContractError
 from .trainer import RecModel
 
@@ -30,26 +29,6 @@ class MetricError(ValueError):
 # ---------------------------------------------------------------------------
 # model scoring
 # ---------------------------------------------------------------------------
-
-
-def _prompt_embeddings(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example: TaskExample, extra_ids: list[int]):
-    """Embedding sequence for prompt + teacher-forced continuation."""
-    rendered = render_prompt(example, corpus.catalog, inject_collab=model.uses_collab_prompt())
-    prompt_ids = corpus.vocab.encode(rendered.text)
-    positions = locate_placeholders(prompt_ids, corpus.vocab, expected=model.uses_collab_prompt())
-    seq = prompt_ids + extra_ids
-    table = model.params["lm.token_table"]
-    if model.uses_collab_prompt():
-        u = corpus.user_index[example.user_id]
-        v = corpus.item_index[example.candidate]
-        hist_rows = [corpus.item_index[h] for h in example.history]
-        hist = cf.item_table[hist_rows] if hist_rows else np.zeros((0, cf.d_cf))
-        ep_u = model.fusion.map_user(cf.lookup_user(u), hist)
-        ep_v = model.fusion.map_item(cf.lookup_item(v), hist)
-        embs = fz.inject(seq, positions, table, ep_u, ep_v)
-    else:
-        embs = nm.gather_rows(table, seq)
-    return embs, len(prompt_ids)
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
@@ -67,36 +46,31 @@ def answer_distribution(
         if tok is None:
             raise ContractError(f"answer token {a!r} missing from the vocab")
         ids.append(tok)
-    embs, n_prompt = _prompt_embeddings(model, corpus, cf, example, [])
+    enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
+    rows = tr.cf_rows(example, corpus, cf, [example.candidate])
+    (embs,) = tr.embed(model, [enc.seq[: enc.n_prompt]], enc.positions, rows)
     logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
-    row = logits.data[n_prompt - 1]
-    sub = row[ids]
+    sub = logits.data[enc.n_prompt - 1][ids]
     e = np.exp(sub - sub.max())
     return e / e.sum()
 
 
 def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example: TaskExample) -> tuple[list[int], np.ndarray]:
-    """Mean per-token title log-likelihood for every candidate in the set."""
+    """Mean per-token title log-likelihood for every candidate in the set.
+
+    The prompt lists the whole candidate set, so it is encoded and its user
+    vector mapped once; each candidate brings its own item vector and title.
+    """
     if example.candidate_set is None:
         raise ContractError("candidate scoring requires a candidate set")
+    enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
+    prompt = enc.seq[: enc.n_prompt]
+    titles = [corpus.vocab.encode(corpus.catalog[c], bos=False) for c in example.candidate_set]
+    rows = tr.cf_rows(example, corpus, cf, example.candidate_set)
     scores = []
-    for cand in example.candidate_set:
-        title_ids = corpus.vocab.encode(corpus.catalog[cand], bos=False)
-        probe = TaskExample(
-            task=example.task,
-            user_id=example.user_id,
-            history=example.history,
-            history_ratings=example.history_ratings,
-            history_comments=example.history_comments,
-            candidate=cand,
-            label=example.label,
-            candidate_set=example.candidate_set,
-        )
-        embs, n_prompt = _prompt_embeddings(model, corpus, cf, probe, title_ids)
+    for title_ids, embs in zip(titles, tr.embed(model, [prompt + t for t in titles], enc.positions, rows)):
         logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
-        total = 0.0
-        for j, tok in enumerate(title_ids):
-            total += _log_softmax(logits.data[n_prompt - 1 + j])[tok]
+        total = sum(_log_softmax(logits.data[enc.n_prompt - 1 + j])[tok] for j, tok in enumerate(title_ids))
         scores.append(total / len(title_ids))
     return list(example.candidate_set), np.asarray(scores)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .corpus import TASKS
 from .numerics import ContractError, ShapeError, Tensor
 
-TASKS = ("RP", "CTR", "TopK", "Explain")
 PROJS = ("q", "k", "v", "o")
 BANK_MODES = ("multi-lora", "per-task-full", "single-shared", "none")
 

@@ -31,9 +31,6 @@ class SplitMix64:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.randbelow(len(items))]
-
     def sample_without_replacement(self, items: list, k: int) -> list:
         pool = list(items)
         self.shuffle(pool)

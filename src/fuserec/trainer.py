@@ -12,7 +12,9 @@ the loss form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +87,9 @@ class TrainConfig:
     literal_beta: bool = False
 
     def __post_init__(self):
+        self.tasks = tuple(self.tasks or ())
+        if self.batch_size < 1:
+            raise ContractError("batch_size must be >= 1")
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}")
         if self.variant == "S" and len(self.tasks) != 1:
@@ -146,21 +151,55 @@ class Encoded:
     seq: list[int]
     targets: list[int]
     mask: list[bool]
-    positions: PlaceholderPositions | None = None
+    positions: PlaceholderPositions
+    n_prompt: int
 
 
-def encode_for_loss(example: TaskExample, corpus: Corpus, inject_collab: bool) -> Encoded:
-    """Prompt plus answer tokens with the loss mask over answer positions."""
+def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> Encoded:
+    """Render, tokenize and locate the placeholders of one prompt.
+
+    The answer tokens follow the prompt in seq, and the loss mask covers the
+    positions that predict them; scoring reads only seq[:n_prompt].
+    """
     rendered = render_prompt(example, corpus.catalog, inject_collab)
     vocab = corpus.vocab
     prompt_ids = vocab.encode(rendered.text)
     answer_ids = vocab.encode(rendered.answer_text, bos=False)
     positions = locate_placeholders(prompt_ids, vocab, expected=inject_collab)
     seq = prompt_ids + answer_ids
-    targets = seq[1:] + [vocab.eos]
     n_p, n_a = len(prompt_ids), len(answer_ids)
     mask = [n_p - 1 <= t < n_p + n_a - 1 for t in range(len(seq))]
-    return Encoded(seq, targets, mask, positions)
+    return Encoded(seq, seq[1:] + [vocab.eos], mask, positions, n_p)
+
+
+class CfRows(NamedTuple):
+    """Frozen CF inputs of one prompt: the user row, the history rows and one
+    row per item the prompt is read with."""
+
+    e_u: np.ndarray
+    hist: np.ndarray
+    e_vs: list[np.ndarray]
+
+
+def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int]) -> CfRows:
+    hist_rows = [corpus.item_index[h] for h in example.history]
+    hist = cf.item_table[hist_rows] if hist_rows else np.zeros((0, cf.d_cf))
+    e_vs = [cf.lookup_item(corpus.item_index[v]) for v in items]
+    return CfRows(cf.lookup_user(corpus.user_index[example.user_id]), hist, e_vs)
+
+
+def embed(model: RecModel, seqs: list[list[int]], positions: PlaceholderPositions, rows: CfRows) -> list[Tensor]:
+    """Decoder inputs for sequences that share one prompt and one user.
+
+    A plain prompt is a token-row gather. On a collaborative prompt the
+    placeholder rows carry the mapped CF vectors: the user vector is mapped
+    once, the item vector once per sequence, from rows.e_vs in order.
+    """
+    table = model.params["lm.token_table"]
+    if positions.user_pos is None:
+        return [nm.gather_rows(table, s) for s in seqs]
+    ep_u = model.fusion.map_user(rows.e_u, rows.hist)
+    return [fz.inject(s, positions, table, ep_u, model.fusion.map_item(e_v, rows.hist)) for s, e_v in zip(seqs, rows.e_vs)]
 
 
 @dataclass
@@ -168,31 +207,17 @@ class Prepared:
     example: TaskExample
     plain: Encoded
     collab: Encoded | None
-    e_u: np.ndarray
-    e_v: np.ndarray
-    hist: np.ndarray
+    rows: CfRows
 
 
 def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with_collab: bool) -> Prepared:
-    u = corpus.user_index[example.user_id]
-    v = corpus.item_index[example.candidate]
-    e_u = cf.lookup_user(u)
-    e_v = cf.lookup_item(v)
-    hist_rows = [corpus.item_index[h] for h in example.history]
-    hist = cf.item_table[hist_rows] if hist_rows else np.zeros((0, cf.d_cf))
-    plain = encode_for_loss(example, corpus, inject_collab=False)
-    collab = encode_for_loss(example, corpus, inject_collab=True) if with_collab else None
-    return Prepared(example, plain, collab, e_u, e_v, hist)
+    plain = encode_prompt(example, corpus, inject_collab=False)
+    collab = encode_prompt(example, corpus, inject_collab=True) if with_collab else None
+    return Prepared(example, plain, collab, cf_rows(example, corpus, cf, [example.candidate]))
 
 
-def _example_loss(prep: Prepared, enc: Encoded, model: RecModel, inject_collab: bool) -> Tensor:
-    table = model.params["lm.token_table"]
-    if inject_collab:
-        ep_u = model.fusion.map_user(prep.e_u, prep.hist)
-        ep_v = model.fusion.map_item(prep.e_v, prep.hist)
-        embs = fz.inject(enc.seq, enc.positions, table, ep_u, ep_v)
-    else:
-        embs = nm.gather_rows(table, enc.seq)
+def _example_loss(prep: Prepared, enc: Encoded, model: RecModel) -> Tensor:
+    (embs,) = embed(model, [enc.seq], enc.positions, prep.rows)
     logits = lmmod.forward(embs, prep.example.task, model.params, model.bank, model.lm_cfg)
     return nm.cross_entropy(logits, enc.targets, enc.mask)
 
@@ -219,9 +244,9 @@ def batch_loss(
     inv = 1.0 / len(batch)
     loss_t1 = loss_t2 = None
     if form != "collab-only":
-        loss_t1 = nm.scale(nm.add_n([_example_loss(p, p.plain, model, False) for p in batch]), inv)
+        loss_t1 = nm.scale(nm.add_n([_example_loss(p, p.plain, model) for p in batch]), inv)
     if form != "text-only":
-        loss_t2 = nm.scale(nm.add_n([_example_loss(p, p.collab, model, True) for p in batch]), inv)
+        loss_t2 = nm.scale(nm.add_n([_example_loss(p, p.collab, model) for p in batch]), inv)
     orth = lmmod.orth_loss(model.bank)
     if form == "text-only":
         total = loss_t1
@@ -307,7 +332,7 @@ def train(
     Deterministic for a fixed config and seed: the same bytes come out of
     to_checkpoint for two identical runs.
     """
-    tasks = tuple(cfg.tasks) if cfg.tasks else corpus.tasks
+    tasks = cfg.tasks or corpus.tasks
     for t in tasks:
         if t == "Explain" and not corpus.has_comments:
             raise ContractError("Explain task requested but the corpus has no comments")
@@ -384,14 +409,13 @@ def train(
 def _validation_loss(model: RecModel, valid_pools: dict[str, list[Prepared]]) -> float:
     """Mean main-prompt loss over the validation pool (text prompt for the
     no-collaboration variant, collaborative prompt otherwise)."""
-    total, count = 0.0, 0
     collab = model.uses_collab_prompt()
-    for task in model.tasks:
-        for p in valid_pools.get(task, []):
-            enc = p.collab if collab else p.plain
-            total += _example_loss(p, enc, model, collab).item()
-            count += 1
-    return total / count if count else float("nan")
+    losses = [
+        _example_loss(p, p.collab if collab else p.plain, model).item()
+        for task in model.tasks
+        for p in valid_pools.get(task, [])
+    ]
+    return sum(losses) / len(losses) if losses else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +428,7 @@ def to_checkpoint(result: TrainResult, cfg: TrainConfig, path: str) -> None:
     tensors = {name: t.data for name, t in model.named_parameters().items()}
     ckpt.save_tensors(path, tensors)
     meta = {
-        "lm": {
-            "n_layers": model.lm_cfg.n_layers,
-            "n_heads": model.lm_cfg.n_heads,
-            "d_model": model.lm_cfg.d_model,
-            "d_ff": model.lm_cfg.d_ff,
-            "vocab_size": model.lm_cfg.vocab_size,
-            "max_len": model.lm_cfg.max_len,
-            "rank": model.lm_cfg.rank,
-        },
+        "lm": asdict(model.lm_cfg),
         "variant": model.variant,
         "tasks": list(model.tasks),
         "d_cf": model.d_cf,

@@ -1,12 +1,17 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from fuserec import checkpoint as ckpt
 from fuserec.cli import main
-from fuserec.config import ConfigError, load_config
+from fuserec.collab import CfTrainConfig
+from fuserec.config import RENAMES, SCHEMA, ConfigError, build, load_config
+from fuserec.corpus import SplitSpec
+from fuserec.lm import LmConfig
+from fuserec.trainer import TrainConfig
 
 from synthdata import two_genre_data, write_jsonl
 
@@ -55,6 +60,16 @@ class TestCheckpointContainer:
         assert dims == (2, 3)
         assert len(blob) == 22 + 6 * 8
 
+    def test_every_prefix_is_rejected(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        ckpt.save_tensors(str(path), {"a.vec": np.arange(3.0), "b.scalar": np.array(2.0, dtype=np.float32)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ckpt.CheckpointError):
+                ckpt.load_tensors(str(cut))
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -102,13 +117,57 @@ class TestConfig:
         assert cfg["corpus"]["k_core_iterative"] is True
         assert cfg["train"]["tasks"] == ["RP", "CTR"]
 
-    def test_fusion_variant_must_agree(self):
-        with pytest.raises(ConfigError, match="fusion.variant"):
-            load_config(None, ["fusion.variant=NCK", "train.variant=CKF"])
-
     def test_bad_set_syntax(self):
         with pytest.raises(ConfigError):
             load_config(None, ["garbage"])
+
+
+# keys the CLI passes to a dataclass by hand rather than through build
+BY_HAND = {"corpus.format", "corpus.n_neg", "corpus.history_limit", "fusion.h"}
+BUILDS = {
+    "corpus": lambda cfg: build(SplitSpec, cfg, "corpus"),
+    "cf": lambda cfg: build(CfTrainConfig, cfg, "cf", history_limit=10),
+    "lm": lambda cfg: build(LmConfig, cfg, "lm", vocab_size=50),
+    "train": lambda cfg: build(TrainConfig, cfg, "train", n_neg=10),
+}
+# valid non-default settings where a generic bump would be rejected
+NON_DEFAULT = {
+    "corpus.split": ["corpus.split=few-shot", "corpus.few_shot_n=4"],
+    "corpus.few_shot_n": ["corpus.split=few-shot", "corpus.few_shot_n=4"],
+    "corpus.cold_user_fraction": ["corpus.split=warm-cold", "corpus.cold_user_fraction=0.5"],
+    "cf.backend": ["cf.backend=SeqAttn"],
+    "cf.objective": ["cf.objective=rating-mse"],
+    "lm.n_heads": ["lm.n_heads=4"],
+    "lm.d_llm": ["lm.d_llm=64"],
+    "train.variant": ["train.variant=NCK"],
+    "train.tasks": ["train.tasks=RP"],
+}
+
+
+def _non_default(section: str, key: str) -> list[str]:
+    dotted = f"{section}.{key}"
+    if dotted in NON_DEFAULT:
+        return NON_DEFAULT[dotted]
+    default, kind = SCHEMA[section][key]
+    value = {bool: lambda: not default, int: lambda: (default or 0) + 1, float: lambda: (default or 0.25) * 2}[kind]()
+    return [f"{dotted}={value}"]
+
+
+class TestBuild:
+    @pytest.mark.parametrize(
+        "section,key", [(s, k) for s in SCHEMA for k in SCHEMA[s] if f"{s}.{k}" not in BY_HAND]
+    )
+    def test_every_schema_key_reaches_its_dataclass(self, section, key):
+        base = BUILDS[section](load_config(None))
+        cfg = load_config(None, _non_default(section, key))
+        field = RENAMES.get(key, key)
+        want = cfg[section][key]
+        want = tuple(want) if isinstance(want, list) else want
+        assert getattr(BUILDS[section](cfg), field) == want != getattr(base, field)
+
+    def test_rejected_value_names_the_section(self):
+        with pytest.raises(ConfigError, match="^cf: "):
+            build(CfTrainConfig, load_config(None, ["cf.batch_size=0"]), "cf")
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +314,49 @@ class TestExitCodes:
         path = tmp_path / "bad.tsv"
         path.write_text("not a valid line\n")
         assert main(["build-corpus", "--input", str(path), "--out", str(tmp_path / "out"), "--set", "corpus.k_core=0"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,assignment",
+        [
+            ("build-corpus", "corpus.split=few-shot"),
+            ("build-corpus", "corpus.split=warm-cold"),
+            ("train-cf", "cf.negatives_per_positive=0"),
+            ("train-cf", "cf.batch_size=0"),
+            ("train", "train.batch=0"),
+        ],
+    )
+    def test_dataclass_rejection_is_a_usage_error(self, pipeline, tmp_path, capsys, command, assignment):
+        _root, cfg_path, data_path, corpus_dir, cf_path, *_rest = pipeline
+        io = {
+            "build-corpus": ["--input", data_path, "--out", str(tmp_path / "corpus")],
+            "train-cf": ["--corpus", corpus_dir, "--out", str(tmp_path / "cf.ckpt")],
+            "train": ["--corpus", corpus_dir, "--cf", cf_path, "--out", str(tmp_path / "model.ckpt")],
+        }[command]
+        assert main([command, "--config", cfg_path, "--set", assignment] + io) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["model", "model-meta", "cf", "cf-is-model", "corpus"])
+    def test_damaged_artifact_is_a_data_error(self, pipeline, tmp_path, capsys, artifact):
+        _root, cfg_path, _data, corpus_dir, cf_path, model_path, _report = pipeline
+        corpus_copy, cf_copy, model_copy = str(tmp_path / "corpus"), str(tmp_path / "cf.ckpt"), str(tmp_path / "model.ckpt")
+        shutil.copytree(corpus_dir, corpus_copy)
+        for src, dst in ((cf_path, cf_copy), (model_path, model_copy), (model_path + ".json", model_copy + ".json")):
+            shutil.copyfile(src, dst)
+        if artifact == "model":
+            with open(model_copy, "r+b") as fh:
+                fh.truncate(100)
+        elif artifact == "model-meta":
+            with open(model_copy + ".json", "r+b") as fh:
+                fh.truncate(20)
+        elif artifact == "cf":
+            with open(cf_copy, "r+b") as fh:
+                fh.truncate(7)
+        elif artifact == "cf-is-model":
+            shutil.copyfile(model_path, cf_copy)
+        else:
+            with open(os.path.join(corpus_copy, "corpus.json"), "w") as fh:
+                fh.write('{"mode": "leave-one-out", ')
+        out = str(tmp_path / "report.json")
+        argv = ["evaluate", "--config", cfg_path, "--corpus", corpus_copy, "--cf", cf_copy, "--model", model_copy, "--out", out]
+        assert main(argv) == 2
+        assert "data error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from fuserec import evaluate as ev
 from fuserec import corpus as cp
+from fuserec import trainer as tr
 from fuserec.collab import CfEmbeddings
 from fuserec.corpus import SplitSpec, build_corpus, build_examples
 from fuserec.lm import LmConfig
@@ -69,6 +70,25 @@ class TestAnswerDistribution:
         monkeypatch.setattr(ev.lmmod, "forward", boosted)
         dist = ev.answer_distribution(model, corpus, cf, ex, ev.RATING_ANSWERS)
         assert int(dist.argmax()) == 3
+
+    def test_topk_prompt_encoded_and_user_mapped_once(self, setup, monkeypatch):
+        corpus, cf, model = setup
+        ex = build_examples(corpus, "TopK", "test", n_neg=4, seed=1)[0]
+        calls = {"render": 0, "user": 0, "item": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tr, "render_prompt", counting("render", tr.render_prompt))
+        monkeypatch.setattr(model.fusion, "map_user", counting("user", model.fusion.map_user))
+        monkeypatch.setattr(model.fusion, "map_item", counting("item", model.fusion.map_item))
+        cand_ids, _scores = ev.candidate_scores(model, corpus, cf, ex)
+        assert len(cand_ids) == 5
+        assert calls == {"render": 1, "user": 1, "item": 5}
 
     def test_missing_answer_token_rejected(self, setup):
         corpus, cf, model = setup
