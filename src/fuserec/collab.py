@@ -41,6 +41,8 @@ class CfTrainConfig:
             raise ValueError("implicit-bce needs negatives_per_positive >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.d_cf < 1 or self.epochs < 1:
+            raise ValueError(f"d_cf and epochs must be >= 1, got {self.d_cf} and {self.epochs}")
 
 
 class CfEmbeddings:

@@ -149,6 +149,8 @@ def validate(config: dict) -> dict:
         raise ConfigError(f"cf.backend: unknown backend {c['cf']['backend']!r}")
     if c["cf"]["objective"] not in ("implicit-bce", "rating-mse"):
         raise ConfigError(f"cf.objective: unknown objective {c['cf']['objective']!r}")
+    if c["fusion"]["h"] < 1:
+        raise ConfigError("fusion.h: must be >= 1")
     if c["lm"]["r"] < 1:
         raise ConfigError("lm.r: adapter rank must be >= 1")
     if c["lm"]["n_heads"] < 1 or c["lm"]["d_llm"] % c["lm"]["n_heads"] != 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 from .prng import SplitMix64
@@ -461,7 +462,6 @@ TEMPLATE_TEXTS = tuple(_INSTR.values()) + tuple(_QUESTION.values()) + (
 class RenderedPrompt:
     text: str
     answer_text: str
-    has_placeholders: bool
 
 
 def render_prompt(example: TaskExample, catalog: dict[int, str], inject_collab: bool) -> RenderedPrompt:
@@ -488,7 +488,7 @@ def render_prompt(example: TaskExample, catalog: dict[int, str], inject_collab: 
         parts.append("candidate : " + title(example.candidate) + " .")
         answer = str(example.label) if example.task != "CTR" else ("yes" if example.label == 1 else "no")
     parts.append(_QUESTION[example.task])
-    return RenderedPrompt(" ".join(parts), answer, inject_collab)
+    return RenderedPrompt(" ".join(parts), answer)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +620,29 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         fh.write("\n")
 
 
+def _read_tsv(path: str, parse: Callable[[list[str]], object]) -> list:
+    """`parse` applied to the tab-separated fields of each line of a corpus
+    file; a line it rejects is a CorpusError naming file:line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                rows.append(parse(line.rstrip("\n").split("\t")))
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{n}: malformed line ({exc})") from None
+    return rows
+
+
+def _parse_interaction(cols: list[str]) -> Interaction:
+    _idx, u, v, r, t, comment = cols
+    return Interaction(int(u), int(v), int(r), int(t), _unescape(comment) if comment else None)
+
+
+def _parse_catalog_entry(cols: list[str]) -> tuple[int, str]:
+    v, title = cols
+    return int(v), _unescape(title)
+
+
 def load_corpus(corpus_dir: str) -> Corpus:
     meta_path = os.path.join(corpus_dir, "corpus.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
@@ -629,24 +652,19 @@ def load_corpus(corpus_dir: str) -> Corpus:
             history_limit, dropped, cold = meta["history_limit"], meta["dropped_users"], frozenset(meta["cold_user_ids"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CorpusError(f"{meta_path}: unreadable corpus metadata ({exc!r})") from None
-    interactions: list[Interaction] = []
-    with open(os.path.join(corpus_dir, "interactions.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            idx, u, v, r, t, comment = line.rstrip("\n").split("\t")
-            interactions.append(
-                Interaction(int(u), int(v), int(r), int(t), _unescape(comment) if comment else None)
-            )
-    catalog: dict[int, str] = {}
-    with open(os.path.join(corpus_dir, "catalog.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            v, title = line.rstrip("\n").split("\t", 1)
-            catalog[int(v)] = _unescape(title)
+    interactions = _read_tsv(os.path.join(corpus_dir, "interactions.tsv"), _parse_interaction)
+    catalog = dict(_read_tsv(os.path.join(corpus_dir, "catalog.tsv"), _parse_catalog_entry))
     vocab = Vocab.load(os.path.join(corpus_dir, "vocab.txt"))
-    roles: dict[int, str] = {}
-    with open(os.path.join(corpus_dir, "splits.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            idx, role = line.rstrip("\n").split("\t")
-            roles[int(idx)] = role
+
+    def parse_role(cols: list[str]) -> tuple[int, str]:
+        idx, role = cols
+        if not 0 <= int(idx) < len(interactions):
+            raise ValueError(f"interaction {idx} outside {len(interactions)} interactions")
+        if role not in ("train", "valid", "test"):
+            raise ValueError(f"unknown role {role!r}")
+        return int(idx), role
+
+    roles = dict(_read_tsv(os.path.join(corpus_dir, "splits.tsv"), parse_role))
     train = [interactions[i] for i in sorted(roles) if roles[i] == "train"]
     valid = [interactions[i] for i in sorted(roles) if roles[i] == "valid"]
     test = [interactions[i] for i in sorted(roles) if roles[i] == "test"]

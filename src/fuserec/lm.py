@@ -33,6 +33,11 @@ class LmConfig:
     rank: int = 16
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "d_model", "max_len"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_ff < 0:
+            raise ShapeError(f"d_ff must be >= 0 (0 means 4 * d_model), got {self.d_ff}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         if self.d_model % self.n_heads != 0:
@@ -221,8 +226,6 @@ def mha_forward(
     """Causal multi-head attention for one layer; query projections use the
     task's adapter, key/value/output the shared ones (mode permitting)."""
     t_len = x.shape[0]
-    if t_len > cfg.max_len:
-        raise ContractError(f"sequence of {t_len} exceeds max length {cfg.max_len}")
     p = f"lm.layer{layer}"
     q = lora_apply(x, params[f"{p}.q"], bank.adapter(layer, "q", task))
     k = lora_apply(x, params[f"{p}.k"], bank.adapter(layer, "k", task))
@@ -246,6 +249,8 @@ def forward(embs: Tensor, task: str, params: dict[str, Tensor], bank: MultiLoraB
     """Pre-norm decoder stack over an embedding sequence; returns T x V logits
     through the tied token-table projection."""
     t_len = embs.shape[0]
+    if t_len > cfg.max_len:
+        raise ContractError(f"sequence of {t_len} exceeds max length {cfg.max_len}")
     pos = nm.gather_rows(params["lm.pos_table"], list(range(t_len)))
     x = nm.add(embs, pos)
     for i in range(cfg.n_layers):

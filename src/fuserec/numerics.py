@@ -1,11 +1,13 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Values are numpy arrays (f64 by default, f32 supported). Operations record
-backward rules on the currently active Tape; `backward` replays the tape in
-reverse and returns gradients for every requires_grad leaf, in a fixed order
-so repeated passes are bitwise identical. Shapes are limited to 2-D matrices,
-row/column vectors and scalars plus last-axis bias broadcast; nothing here
-fuses, parallelizes, or broadcasts beyond that.
+Values are numpy arrays (f64 by default, f32 supported). Every operation
+returns through `_op`, which records its backward rule on the active Tape when
+the result needs a gradient. `backward` replays the tape in reverse, in a fixed
+order so repeated passes are bitwise identical, and returns gradients for the
+requires_grad leaves the loss reached; `grad_of` gives zeros for the rest.
+Shapes are limited to 2-D matrices, row/column vectors and scalars plus
+last-axis bias broadcast; nothing here fuses, parallelizes, or broadcasts
+beyond that.
 """
 
 from __future__ import annotations
@@ -76,8 +78,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[tuple[str, tuple[int, ...], int, Callable]] = []
-        self.leaves: dict[int, Tensor] = {}
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -92,27 +92,29 @@ class Tape:
         return False
 
     def record(self, name: str, inputs: Sequence[Tensor], out: Tensor, backward: Callable) -> None:
-        for t in inputs:
-            if t.requires_grad and t.node_id not in self._produced:
-                self.leaves.setdefault(t.node_id, t)
-        self._produced.add(out.node_id)
         self.records.append((name, tuple(t.node_id for t in inputs), out.node_id, backward))
 
 
-def _maybe_record(name: str, inputs: Sequence[Tensor], out: Tensor, backward: Callable) -> None:
-    if _ACTIVE_TAPE is not None and out.requires_grad:
+def _op(name: str, inputs: Sequence[Tensor], value, backward: Callable) -> Tensor:
+    """The result Tensor of one op. It requires grad when an input does, and then
+    the op is recorded on the active tape, if any; `backward` maps the result's
+    gradient to one gradient (or None) per input."""
+    # a plain loop: any() over a comprehension adds a frame to every op
+    requires_grad = False
+    for t in inputs:
+        requires_grad = requires_grad or t.requires_grad
+    out = Tensor(value, requires_grad=requires_grad)
+    if requires_grad and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(name, inputs, out, backward)
-
-
-def _any_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    return out
 
 
 def backward(loss: Tensor, tape: Tape | None = None) -> dict[int, Tensor]:
     """Reverse sweep from a scalar loss.
 
-    Returns node_id -> gradient Tensor for every requires_grad leaf that was
-    touched on the tape; leaves the loss does not depend on get zeros.
+    Returns node_id -> gradient Tensor for each requires_grad leaf the loss
+    reached, a leaf being a tensor no record on the tape produced. Other
+    leaves get no entry; `grad_of` gives zeros for them.
     """
     tape = tape if tape is not None else _ACTIVE_TAPE
     if tape is None:
@@ -129,10 +131,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[int, Tensor]:
                 continue
             acc = grads.get(nid)
             grads[nid] = gin if acc is None else acc + gin
-    return {
-        nid: Tensor(grads[nid] if nid in grads else np.zeros_like(leaf.data))
-        for nid, leaf in tape.leaves.items()
-    }
+    return {nid: Tensor(g) for nid, g in grads.items()}
 
 
 def grad_of(grads: dict[int, Tensor], t: Tensor) -> np.ndarray:
@@ -149,7 +148,6 @@ def grad_of(grads: dict[int, Tensor], t: Tensor) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_any_grad(a, b))
 
     def bwd(g):
         return (
@@ -157,8 +155,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.data.T @ g if b.requires_grad else None,
         )
 
-    _maybe_record("matmul", (a, b), out, bwd)
-    return out
+    return _op("matmul", (a, b), a.data @ b.data, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -168,7 +165,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
     if bias and a.shape[1] != b.shape[0]:
         raise ShapeError(f"bias length {b.shape[0]} does not match row width {a.shape[1]}")
-    out = Tensor(a.data + b.data, requires_grad=_any_grad(a, b))
 
     def bwd(g):
         gb = None
@@ -176,8 +172,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             gb = g.sum(axis=0) if bias else g
         return (g if a.requires_grad else None, gb)
 
-    _maybe_record("add", (a, b), out, bwd)
-    return out
+    return _op("add", (a, b), a.data + b.data, bwd)
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
@@ -191,31 +186,21 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
     acc = tensors[0].data.copy()
     for t in tensors[1:]:
         acc += t.data
-    out = Tensor(acc, requires_grad=_any_grad(*tensors))
-
-    def bwd(g):
-        return tuple(g if t.requires_grad else None for t in tensors)
-
-    _maybe_record("add_n", tensors, out, bwd)
-    return out
+    return _op("add_n", tensors, acc, lambda g: tuple(g if t.requires_grad else None for t in tensors))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, requires_grad=_any_grad(a, b))
-
     def bwd(g):
         return (g if a.requires_grad else None, -g if b.requires_grad else None)
 
-    _maybe_record("sub", (a, b), out, bwd)
-    return out
+    return _op("sub", (a, b), a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=_any_grad(a, b))
 
     def bwd(g):
         return (
@@ -223,20 +208,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             g * a.data if b.requires_grad else None,
         )
 
-    _maybe_record("mul", (a, b), out, bwd)
-    return out
+    return _op("mul", (a, b), a.data * b.data, bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c, requires_grad=a.requires_grad)
-    _maybe_record("scale", (a,), out, lambda g: (g * c,))
-    return out
+    return _op("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
-    _maybe_record("relu", (a,), out, lambda g: (g * (a.data > 0),))
-    return out
+    return _op("relu", (a,), np.maximum(a.data, 0.0), lambda g: (g * (a.data > 0),))
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -247,29 +227,19 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     x2 = x * x
     t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out = Tensor(0.5 * x * (1.0 + t), requires_grad=a.requires_grad)
 
     def bwd(g):
         dinner = _GELU_C * (1.0 + 0.134145 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
-    _maybe_record("gelu", (a,), out, bwd)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s, requires_grad=a.requires_grad)
-    _maybe_record("sigmoid", (a,), out, lambda g: (g * s * (1.0 - s),))
-    return out
+    return _op("gelu", (a,), 0.5 * x * (1.0 + t), bwd)
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably."""
     x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), requires_grad=a.requires_grad)
-    _maybe_record("softplus", (a,), out, lambda g: (g / (1.0 + np.exp(-x)),))
-    return out
+    value = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _op("softplus", (a,), value, lambda g: (g / (1.0 + np.exp(-x)),))
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -280,13 +250,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, requires_grad=x.requires_grad)
-
-    def bwd(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    _maybe_record("softmax", (x,), out, bwd)
-    return out
+    return _op("softmax", (x,), s, lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -301,7 +265,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xh = xc * inv
-    out = Tensor(xh * gain.data + bias.data, requires_grad=_any_grad(x, gain, bias))
 
     def bwd(g):
         gx = None
@@ -318,8 +281,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             g.sum(axis=0) if bias.requires_grad else None,
         )
 
-    _maybe_record("layer_norm", (x, gain, bias), out, bwd)
-    return out
+    return _op("layer_norm", (x, gain, bias), xh * gain.data + bias.data, bwd)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) -> Tensor:
@@ -343,7 +305,6 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) 
     m = sel.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(sel - m).sum(axis=1))
     nll = lse - sel[np.arange(len(idx)), cols]
-    out = Tensor(nll.mean(), requires_grad=logits.requires_grad)
 
     def bwd(g):
         soft = np.exp(sel - m)
@@ -353,41 +314,31 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) 
         full[rows] = soft * (float(g) / len(idx))
         return (full,)
 
-    _maybe_record("cross_entropy", (logits,), out, bwd)
-    return out
+    return _op("cross_entropy", (logits,), nll.mean(), bwd)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis), requires_grad=a.requires_grad)
-
     def bwd(g):
         if axis is None:
             return (np.full_like(a.data, float(g)),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
-    _maybe_record("sum", (a,), out, bwd)
-    return out
+    return _op("sum", (a,), a.data.sum(axis=axis), bwd)
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-    out = Tensor(a.data.mean(), requires_grad=a.requires_grad)
-    _maybe_record("mean", (a,), out, lambda g: (np.full_like(a.data, float(g) / n),))
-    return out
+    return _op("mean", (a,), a.data.mean(), lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
-    _maybe_record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
-    return out
+    return _op("reshape", (a,), a.data.reshape(shape), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out = Tensor(a.data.T.copy(), requires_grad=a.requires_grad)
-    _maybe_record("transpose", (a,), out, lambda g: (g.T.copy(),))
-    return out
+    return _op("transpose", (a,), a.data.T.copy(), lambda g: (g.T.copy(),))
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -396,15 +347,13 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     rows = np.asarray(ids, dtype=np.intp)
     if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
         raise ContractError(f"row id outside table of {table.shape[0]} rows")
-    out = Tensor(table.data[rows], requires_grad=table.requires_grad)
 
     def bwd(g):
         full = np.zeros_like(table.data)
         np.add.at(full, rows, g)
         return (full,)
 
-    _maybe_record("gather_rows", (table,), out, bwd)
-    return out
+    return _op("gather_rows", (table,), table.data[rows], bwd)
 
 
 def row_set(a: Tensor, idx: int, v: Tensor) -> Tensor:
@@ -415,7 +364,6 @@ def row_set(a: Tensor, idx: int, v: Tensor) -> Tensor:
         raise ContractError(f"row index {idx} outside {a.shape[0]} rows")
     data = a.data.copy()
     data[idx] = v.data
-    out = Tensor(data, requires_grad=_any_grad(a, v))
 
     def bwd(g):
         ga = None
@@ -424,29 +372,25 @@ def row_set(a: Tensor, idx: int, v: Tensor) -> Tensor:
             ga[idx] = 0.0
         return (ga, g[idx].copy() if v.requires_grad else None)
 
-    _maybe_record("row_set", (a, v), out, bwd)
-    return out
+    return _op("row_set", (a, v), data, bwd)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
-    out = Tensor(a.data[:, start:stop].copy(), requires_grad=a.requires_grad)
 
     def bwd(g):
         full = np.zeros_like(a.data)
         full[:, start:stop] = g
         return (full,)
 
-    _maybe_record("slice_cols", (a,), out, bwd)
-    return out
+    return _op("slice_cols", (a,), a.data[:, start:stop].copy(), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ContractError("concat_cols of an empty sequence")
     widths = [p.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), requires_grad=_any_grad(*parts))
 
     def bwd(g):
         grads = []
@@ -456,8 +400,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             off += w
         return tuple(grads)
 
-    _maybe_record("concat_cols", parts, out, bwd)
-    return out
+    return _op("concat_cols", parts, np.concatenate([p.data for p in parts], axis=1), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -442,11 +442,19 @@ def to_checkpoint(result: TrainResult, cfg: TrainConfig, path: str) -> None:
 
 
 def from_checkpoint(path: str) -> RecModel:
-    meta = ckpt.load_meta(path + ".json")
-    lm_cfg = LmConfig(**meta["lm"])
-    model = RecModel(
-        lm_cfg, meta["variant"], tuple(meta["tasks"]), meta["d_cf"], meta["fusion_hidden"], seed=0
-    )
+    meta_path = path + ".json"
+    meta = ckpt.load_meta(meta_path)
+    try:
+        lm_cfg = LmConfig(**meta["lm"])
+        variant, tasks = meta["variant"], tuple(meta["tasks"])
+        d_cf, fusion_hidden = meta["d_cf"], meta["fusion_hidden"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ckpt.CheckpointError(f"{meta_path}: unreadable model metadata ({exc!r})") from None
+    if variant not in VARIANTS:
+        raise ckpt.CheckpointError(f"{meta_path}: unknown variant {variant!r}")
+    if not all(isinstance(n, int) and n >= 1 for n in (d_cf, fusion_hidden)):
+        raise ckpt.CheckpointError(f"{meta_path}: d_cf {d_cf!r} and fusion_hidden {fusion_hidden!r} must be >= 1")
+    model = RecModel(lm_cfg, variant, tasks, d_cf, fusion_hidden, seed=0)
     lmmod.freeze_backbone(model.params)
     tensors = ckpt.load_tensors(path)
     named = model.named_parameters()

@@ -323,6 +323,11 @@ class TestExitCodes:
             ("train-cf", "cf.negatives_per_positive=0"),
             ("train-cf", "cf.batch_size=0"),
             ("train", "train.batch=0"),
+            ("train-cf", "cf.epochs=0"),
+            ("train-cf", "cf.d_cf=-2"),
+            ("train", "lm.d_ff=-1"),
+            ("train", "lm.L=-1"),
+            ("train", "fusion.h=-1"),
         ],
     )
     def test_dataclass_rejection_is_a_usage_error(self, pipeline, tmp_path, capsys, command, assignment):
@@ -335,7 +340,13 @@ class TestExitCodes:
         assert main([command, "--config", cfg_path, "--set", assignment] + io) == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("artifact", ["model", "model-meta", "cf", "cf-is-model", "corpus"])
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            "model", "model-meta", "cf", "cf-is-model", "corpus", "interactions", "splits", "catalog",
+            "meta-no-lm", "meta-lm-not-object", "meta-bad-variant", "meta-bad-size",
+        ],
+    )
     def test_damaged_artifact_is_a_data_error(self, pipeline, tmp_path, capsys, artifact):
         _root, cfg_path, _data, corpus_dir, cf_path, model_path, _report = pipeline
         corpus_copy, cf_copy, model_copy = str(tmp_path / "corpus"), str(tmp_path / "cf.ckpt"), str(tmp_path / "model.ckpt")
@@ -353,10 +364,32 @@ class TestExitCodes:
                 fh.truncate(7)
         elif artifact == "cf-is-model":
             shutil.copyfile(model_path, cf_copy)
-        else:
+        elif artifact == "corpus":
             with open(os.path.join(corpus_copy, "corpus.json"), "w") as fh:
                 fh.write('{"mode": "leave-one-out", ')
+        elif artifact.startswith("meta-"):
+            with open(model_copy + ".json") as fh:
+                meta = json.load(fh)
+            if artifact == "meta-no-lm":
+                del meta["lm"]
+            elif artifact == "meta-lm-not-object":
+                meta["lm"] = 5
+            elif artifact == "meta-bad-size":
+                meta["fusion_hidden"] = -1
+            else:
+                meta["variant"] = "XYZ"
+            with open(model_copy + ".json", "w") as fh:
+                json.dump(meta, fh)
+        else:
+            bad_line = {"interactions": "garbage line", "splits": "x\ttrain", "catalog": "notanint"}[artifact]
+            with open(os.path.join(corpus_copy, artifact + ".tsv"), "a") as fh:
+                fh.write(bad_line + "\n")
         out = str(tmp_path / "report.json")
         argv = ["evaluate", "--config", cfg_path, "--corpus", corpus_copy, "--cf", cf_copy, "--model", model_copy, "--out", out]
         assert main(argv) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if artifact in ("interactions", "splits", "catalog"):
+            with open(os.path.join(corpus_copy, artifact + ".tsv")) as fh:
+                n_lines = len(fh.readlines())
+            assert f"{artifact}.tsv:{n_lines}:" in err

@@ -239,7 +239,7 @@ class TestForward:
         rng = np.random.default_rng(12)
         params = lmmod.init_backbone(cfg, rng)
         bank = MultiLoraBank(cfg, TASKS4, "none", rng)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="exceeds max length"):
             lmmod.forward(embed(rng, cfg, 5), "RP", params, bank, cfg)
 
 

@@ -209,8 +209,8 @@ class TestFiniteDiffCheck:
 class TestElementwiseOps:
     @pytest.mark.parametrize(
         "op",
-        [nm.relu, nm.gelu, nm.sigmoid, nm.softplus],
-        ids=["relu", "gelu", "sigmoid", "softplus"],
+        [nm.relu, nm.gelu, nm.softplus],
+        ids=["relu", "gelu", "softplus"],
     )
     def test_grad_matches_finite_differences(self, op):
         rng = np.random.default_rng(10)
@@ -251,6 +251,54 @@ class TestElementwiseOps:
         y = nm.matmul(x, x)
         assert y.data.dtype == np.float32
         assert np.allclose(y.data, 2.0, atol=1e-3)
+
+
+# (op function, the name it records on the tape, input shapes, call)
+RECORDED_OPS = [
+    ("matmul", "matmul", [(2, 3), (3, 2)], None),
+    ("add", "add", [(2, 3), (3,)], None),
+    ("add_n", "add_n", [(2, 3), (2, 3)], lambda op, *ts: op(ts)),
+    ("sub", "sub", [(2, 3), (2, 3)], None),
+    ("mul", "mul", [(2, 3), (2, 3)], None),
+    ("scale", "scale", [(2, 3)], lambda op, a: op(a, 0.5)),
+    ("relu", "relu", [(2, 3)], None),
+    ("gelu", "gelu", [(2, 3)], None),
+    ("softplus", "softplus", [(2, 3)], None),
+    ("softmax", "softmax", [(2, 3)], lambda op, a: op(a, axis=1)),
+    ("layer_norm", "layer_norm", [(2, 3), (3,), (3,)], None),
+    ("cross_entropy", "cross_entropy", [(2, 3)], lambda op, a: op(a, [0, 2], [True, True])),
+    ("tsum", "sum", [(2, 3)], None),
+    ("tmean", "mean", [(2, 3)], None),
+    ("reshape", "reshape", [(2, 3)], lambda op, a: op(a, (3, 2))),
+    ("transpose", "transpose", [(2, 3)], None),
+    ("gather_rows", "gather_rows", [(2, 3)], lambda op, a: op(a, [1, 0, 1])),
+    ("row_set", "row_set", [(2, 3), (3,)], lambda op, a, v: op(a, 1, v)),
+    ("slice_cols", "slice_cols", [(2, 3)], lambda op, a: op(a, 1, 3)),
+    ("concat_cols", "concat_cols", [(2, 3), (2, 1)], lambda op, *ts: op(ts)),
+]
+
+
+class TestRecording:
+    @pytest.mark.parametrize("fn,tape_name,shapes,call", RECORDED_OPS, ids=[c[0] for c in RECORDED_OPS])
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["grad", "frozen"])
+    def test_op_records_once_under_its_name(self, fn, tape_name, shapes, call, requires_grad):
+        rng = np.random.default_rng(14)
+        # only the last input can require grad: the result needs a gradient if any input does
+        last = len(shapes) - 1
+        inputs = [
+            Tensor(rng.normal(size=shape), requires_grad=requires_grad and i == last)
+            for i, shape in enumerate(shapes)
+        ]
+        op = getattr(nm, fn)
+        with nm.Tape() as tape:
+            out = call(op, *inputs) if call else op(*inputs)
+        assert out.requires_grad == requires_grad
+        if not requires_grad:
+            assert tape.records == []
+            return
+        assert len(tape.records) == 1
+        name, input_ids, out_id, _bwd = tape.records[0]
+        assert (name, input_ids, out_id) == (tape_name, tuple(t.node_id for t in inputs), out.node_id)
 
 
 class TestTapeInvariants:
