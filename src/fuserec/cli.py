@@ -29,8 +29,8 @@ def cmd_build_corpus(cfg: dict, args) -> int:
     spec = build(cp.SplitSpec, cfg, "corpus")
     parsed = cp.parse_interactions(args.input, cfg["corpus"]["format"])
     corpus = cp.build_corpus(parsed, spec, history_limit=cfg["corpus"]["history_limit"])
-    cp.save_corpus(corpus, args.out)
     stats = cp.corpus_stats(corpus, n_neg=cfg["corpus"]["n_neg"], seed=corpus.spec.seed)
+    cp.save_corpus(corpus, args.out)
     print(f"duplicates dropped: {parsed.duplicates_dropped}; users below 3 interactions dropped: {corpus.split.dropped_users}")
     print("#Interactions  #Train  #Valid  #Test  #User  #Item  Avg-U  Avg-I")
     print(
@@ -161,10 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config, args.assignments)
-        if args.seed is not None:
-            cfg[args.seed_section]["seed"] = args.seed
-        return args.func(cfg, args)
+        seed = [] if args.seed is None else [f"{args.seed_section}.seed={args.seed}"]
+        return args.func(load_config(args.config, args.assignments + seed), args)
     except (ConfigError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -34,15 +34,16 @@ class CfTrainConfig:
 
     def __post_init__(self):
         if self.backend not in ("MF", "SeqAttn"):
-            raise ValueError(f"unknown CF backend {self.backend!r}")
+            raise ValueError(f"backend: unknown CF backend {self.backend!r}")
         if self.objective not in ("implicit-bce", "rating-mse"):
-            raise ValueError(f"unknown CF objective {self.objective!r}")
+            raise ValueError(f"objective: unknown CF objective {self.objective!r}")
         if self.objective == "implicit-bce" and self.negatives_per_positive < 1:
-            raise ValueError("implicit-bce needs negatives_per_positive >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.d_cf < 1 or self.epochs < 1:
-            raise ValueError(f"d_cf and epochs must be >= 1, got {self.d_cf} and {self.epochs}")
+            raise ValueError("negatives_per_positive: implicit-bce needs >= 1")
+        for name in ("d_cf", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 class CfEmbeddings:

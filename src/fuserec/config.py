@@ -5,79 +5,73 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import types
+import typing
 
-from .corpus import TASKS
-from .trainer import VARIANTS
+from .collab import CfTrainConfig
+from .corpus import FORMATS, SplitSpec
+from .lm import LmConfig
+from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
     """Invalid configuration value or unknown key; message names the field."""
 
 
-# section -> key -> (default, type). Optional fields use a None default with
-# the type they take when present.
-SCHEMA: dict[str, dict[str, tuple]] = {
-    "corpus": {
-        "format": ("tsv", str),
-        "k_core": (20, int),
-        "k_core_iterative": (False, bool),
-        "split": ("leave-one-out", str),
-        "seed": (0, int),
-        "n_neg": (10, int),
-        "history_limit": (10, int),
-        "few_shot_n": (None, int),
-        "cold_user_fraction": (None, float),
-    },
-    "cf": {
-        "backend": ("MF", str),
-        "d_cf": (64, int),
-        "objective": ("implicit-bce", str),
-        "lr": (0.01, float),
-        "epochs": (10, int),
-        "negatives_per_positive": (1, int),
-        "batch_size": (256, int),
-        "seed": (0, int),
-    },
-    "lm": {
-        "L": (2, int),
-        "n_heads": (2, int),
-        "d_llm": (32, int),
-        "d_ff": (0, int),
-        "max_len": (128, int),
-        "r": (16, int),
-    },
-    "fusion": {
-        "h": (8, int),
-    },
-    "train": {
-        "lr": (1e-4, float),
-        "weight_decay": (1e-3, float),
-        "epochs": (3, int),
-        "batch": (8, int),
-        "tau": (0.125, float),
-        "lambda_orth": (1.0, float),
-        "seed": (0, int),
-        "variant": ("CKF", str),
-        "tasks": (None, list),
-        "grad_clip": (None, float),
-        "pretrain_steps": (0, int),
-        "pretrain_lr": (1e-3, float),
-        "token_table_trainable": (False, bool),
-        "literal_beta": (False, bool),
-    },
+# section -> the dataclass whose fields are that section's keys
+SECTIONS = {"corpus": SplitSpec, "cf": CfTrainConfig, "lm": LmConfig, "train": TrainConfig}
+# section -> config key -> dataclass field, where the two names differ
+RENAMES = {
+    "corpus": {"split": "mode"},
+    "lm": {"L": "n_layers", "d_llm": "d_model", "r": "rank"},
+    "train": {"batch": "batch_size"},
+}
+# dataclass fields that are not keys of their section: the CLI passes them to build
+_PASSED = {"cf": {"history_limit"}, "lm": {"vocab_size"}, "train": {"n_neg"}}
+# keys no dataclass holds -> (default, type); validate checks them
+_UNHELD = {
+    "corpus": {"format": ("tsv", str), "n_neg": (10, int), "history_limit": (10, int)},
+    "fusion": {"h": (8, int)},
 }
 
-# JSON key -> dataclass field, where the two names differ
-RENAMES = {"split": "mode", "L": "n_layers", "d_llm": "d_model", "r": "rank", "batch": "batch_size"}
+
+def _kind(hint) -> type:
+    """The type a config value takes for a field annotation: the non-None
+    member of an optional, and list for a tuple."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return list if typing.get_origin(hint) is tuple else hint
+
+
+def _schema() -> dict[str, dict[str, tuple]]:
+    schema: dict[str, dict[str, tuple]] = {}
+    for section, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        key_of = {f: k for k, f in RENAMES.get(section, {}).items()}
+        schema[section] = {
+            key_of.get(f.name, f.name): (f.default, _kind(hints[f.name]))
+            for f in dataclasses.fields(cls)
+            if f.name not in _PASSED.get(section, ())
+        }
+    for section, keys in _UNHELD.items():
+        schema.setdefault(section, {}).update(keys)
+    return schema
+
+
+# section -> key -> (default, type). A key whose default is None may be null.
+SCHEMA = _schema()
 
 
 def default_config() -> dict:
-    return {sec: {k: copy.deepcopy(v[0]) for k, v in keys.items()} for sec, keys in SCHEMA.items()}
+    return {section: {k: default for k, (default, _) in keys.items()} for section, keys in SCHEMA.items()}
 
 
-def _coerce(section: str, key: str, value, want: type):
+def _coerce(section: str, key: str, value):
+    default, want = SCHEMA[section][key]
     if value is None:
-        return None
+        if default is None:
+            return None
+        raise ConfigError(f"{section}.{key}: must not be null")
     if want is bool:
         if isinstance(value, bool):
             return value
@@ -85,9 +79,12 @@ def _coerce(section: str, key: str, value, want: type):
             return value.lower() == "true"
         raise ConfigError(f"{section}.{key}: expected a boolean, got {value!r}")
     if want is int:
-        if isinstance(value, bool) or (not isinstance(value, int) and not (isinstance(value, str) and value.lstrip("-").isdigit())):
-            raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}")
-        return int(value)
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise TypeError
+            return int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}") from None
     if want is float:
         try:
             if isinstance(value, bool):
@@ -114,61 +111,32 @@ def merge_config(base: dict, overrides: dict) -> dict:
         for key, value in keys.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            out[section][key] = _coerce(section, key, value, SCHEMA[section][key][1])
+            out[section][key] = _coerce(section, key, value)
     return out
 
 
 def apply_set_overrides(config: dict, assignments: list[str]) -> dict:
-    """Apply --set section.key=value pairs on top of a config."""
-    out = copy.deepcopy(config)
+    """Apply --set section.key=value pairs on top of a config, in order."""
     for item in assignments:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        dotted, eq, value = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
-        dotted, value = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        want = SCHEMA[section][key][1]
-        out[section][key] = None if value == "null" else _coerce(section, key, value, want)
-    return out
+        config = merge_config(config, {section: {key: None if value == "null" else value}})
+    return config
 
 
 def validate(config: dict) -> dict:
-    c = config
-    if c["corpus"]["format"] not in ("ml-dat", "tsv", "review-jsonl"):
-        raise ConfigError(f"corpus.format: unknown format {c['corpus']['format']!r}")
-    if c["corpus"]["split"] not in ("leave-one-out", "warm-cold", "few-shot"):
-        raise ConfigError(f"corpus.split: unknown mode {c['corpus']['split']!r}")
-    if c["corpus"]["k_core"] < 0:
-        raise ConfigError("corpus.k_core: must be >= 0")
-    if c["corpus"]["n_neg"] < 1:
-        raise ConfigError("corpus.n_neg: must be >= 1")
-    if c["corpus"]["history_limit"] < 1:
-        raise ConfigError("corpus.history_limit: must be >= 1")
-    if c["cf"]["backend"] not in ("MF", "SeqAttn"):
-        raise ConfigError(f"cf.backend: unknown backend {c['cf']['backend']!r}")
-    if c["cf"]["objective"] not in ("implicit-bce", "rating-mse"):
-        raise ConfigError(f"cf.objective: unknown objective {c['cf']['objective']!r}")
-    if c["fusion"]["h"] < 1:
-        raise ConfigError("fusion.h: must be >= 1")
-    if c["lm"]["r"] < 1:
-        raise ConfigError("lm.r: adapter rank must be >= 1")
-    if c["lm"]["n_heads"] < 1 or c["lm"]["d_llm"] % c["lm"]["n_heads"] != 0:
-        raise ConfigError(f"lm.d_llm: {c['lm']['d_llm']} not divisible by lm.n_heads {c['lm']['n_heads']}")
-    if c["train"]["tau"] <= 0:
-        raise ConfigError("train.tau: must be > 0")
-    if c["train"]["variant"] not in VARIANTS:
-        raise ConfigError(f"train.variant: unknown variant {c['train']['variant']!r}")
-    tasks = c["train"]["tasks"]
-    if tasks is not None:
-        for t in tasks:
-            if t not in TASKS:
-                raise ConfigError(f"train.tasks: unknown task {t!r}")
-        if len(set(tasks)) != len(tasks):
-            raise ConfigError("train.tasks: duplicate task")
-    if c["train"]["variant"] == "S" and (tasks is None or len(tasks) != 1):
-        raise ConfigError("train.tasks: variant S requires exactly one task")
-    return c
+    """Check the keys no dataclass holds, then build each section's dataclass
+    once, so a value its checks reject fails on every command."""
+    if config["corpus"]["format"] not in FORMATS:
+        raise ConfigError(f"corpus.format: unknown format {config['corpus']['format']!r}")
+    for section, key in (("corpus", "n_neg"), ("corpus", "history_limit"), ("fusion", "h")):
+        if config[section][key] < 1:
+            raise ConfigError(f"{section}.{key}: must be >= 1")
+    for section, cls in SECTIONS.items():
+        build(cls, config, section)
+    return config
 
 
 def load_config(path: str | None, assignments: list[str] | None = None) -> dict:
@@ -190,11 +158,15 @@ def build(cls, config: dict, section: str, **fixed):
 
     Each key of the section whose name, after RENAMES, is a field of `cls` is
     passed on; `fixed` supplies the fields the section does not hold. A value
-    the dataclass rejects becomes a ConfigError naming the section.
+    the dataclass rejects becomes a ConfigError naming the key: the dataclass
+    checks open their message with the field name and a colon.
     """
+    renames = RENAMES.get(section, {})
     fields = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {RENAMES.get(k, k): v for k, v in config[section].items() if RENAMES.get(k, k) in fields}
+    kwargs = {renames.get(k, k): v for k, v in config[section].items() if renames.get(k, k) in fields}
     try:
         return cls(**{**kwargs, **fixed})
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        field, _, why = str(exc).partition(": ")
+        key = {f: k for k, f in renames.items()}.get(field, field)
+        raise ConfigError(f"{section}.{key}: {why}") from None

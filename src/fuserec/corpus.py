@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from .prng import SplitMix64
 
 TASKS = ("RP", "CTR", "TopK", "Explain")
+FORMATS = ("ml-dat", "tsv", "review-jsonl")
 
 USER_MARK = "<user>"
 ITEM_MARK = "<item>"
@@ -64,16 +65,18 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.mode not in ("leave-one-out", "warm-cold", "few-shot"):
-            raise CorpusError(f"unknown split mode {self.mode!r}")
+            raise CorpusError(f"mode: unknown split mode {self.mode!r}")
         if self.k_core < 0:
-            raise CorpusError("k_core must be >= 0")
+            raise CorpusError(f"k_core: must be >= 0, got {self.k_core}")
         if (self.mode == "few-shot") != (self.few_shot_n is not None):
-            raise CorpusError("few_shot_n is required iff mode is few-shot")
+            raise CorpusError("few_shot_n: required iff mode is few-shot")
+        if self.few_shot_n is not None and self.few_shot_n < 1:
+            raise CorpusError(f"few_shot_n: must be >= 1, got {self.few_shot_n}")
         if self.mode == "warm-cold":
             if self.cold_user_fraction is None or not 0.0 < self.cold_user_fraction < 1.0:
-                raise CorpusError("cold_user_fraction must be in (0, 1) for warm-cold mode")
+                raise CorpusError("cold_user_fraction: must be in (0, 1) for warm-cold mode")
         elif self.cold_user_fraction is not None:
-            raise CorpusError("cold_user_fraction only applies to warm-cold mode")
+            raise CorpusError("cold_user_fraction: only applies to warm-cold mode")
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def parse_interactions(path: str, fmt: str) -> ParseResult:
     sorted by (user_id, timestamp), ties resolved by file order. ml-dat and
     tsv carry no titles, so the catalog is synthesized as "item <id>".
     """
-    if fmt not in ("ml-dat", "tsv", "review-jsonl"):
+    if fmt not in FORMATS:
         raise CorpusError(f"unknown format {fmt!r}")
     raw: list[Interaction] = []
     catalog: dict[int, str] = {}

@@ -33,17 +33,15 @@ class LmConfig:
     rank: int = 16
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "d_model", "max_len"):
+        for name in ("n_layers", "n_heads", "d_model", "max_len", "rank"):
             if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ShapeError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.d_ff < 0:
-            raise ShapeError(f"d_ff must be >= 0 (0 means 4 * d_model), got {self.d_ff}")
+            raise ShapeError(f"d_ff: must be >= 0 (0 means 4 * d_model), got {self.d_ff}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         if self.d_model % self.n_heads != 0:
-            raise ShapeError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.rank < 1:
-            raise ShapeError("adapter rank must be >= 1")
+            raise ShapeError(f"d_model: {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
 class LoraAdapter:
@@ -203,10 +201,8 @@ def init_backbone(cfg: LmConfig, rng: np.random.Generator, trainable: bool = Fal
     return params
 
 
-def freeze_backbone(params: dict[str, Tensor], keep_token_table: bool = False) -> None:
-    for name, t in params.items():
-        if keep_token_table and name == "lm.token_table":
-            continue
+def freeze_backbone(params: dict[str, Tensor]) -> None:
+    for t in params.values():
         t.requires_grad = False
 
 

@@ -24,7 +24,6 @@ class AdamW:
         beta2: float = 0.999,
         eps: float = 1e-8,
         decay_names: set[str] | None = None,
-        grad_clip: float | None = None,
     ):
         self.params = dict(params)
         self.lr = lr
@@ -33,7 +32,6 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.decay_names = set(self.params) if decay_names is None else set(decay_names)
-        self.grad_clip = grad_clip
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
@@ -48,10 +46,6 @@ class AdamW:
                 g = np.zeros_like(self.params[name].data)
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            if self.grad_clip is not None:
-                norm = float(np.sqrt((g * g).sum()))
-                if norm > self.grad_clip:
-                    g = g * (self.grad_clip / norm)
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1

@@ -24,6 +24,7 @@ from . import lm as lmmod
 from . import numerics as nm
 from .collab import CfEmbeddings
 from .corpus import (
+    TASKS,
     Corpus,
     PlaceholderPositions,
     TaskExample,
@@ -44,13 +45,11 @@ class BetaSchedule:
     """Smoothly decaying weight for the text-only loss term.
 
     beta(i) = 1 / (1 + exp(((i/z) - 1) / tau)): starts near 1, ends at 0.5
-    exactly. The literal_parse flag instead divides only the exponential by
-    tau, which starts low; kept for comparison.
+    exactly.
     """
 
     total_steps: int
     tau: float = 0.125
-    literal_parse: bool = False
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -62,10 +61,7 @@ class BetaSchedule:
 def beta(i: int, sched: BetaSchedule) -> float:
     if not 0 <= i <= sched.total_steps:
         raise ContractError(f"step {i} outside [0, {sched.total_steps}]")
-    frac = i / sched.total_steps
-    if sched.literal_parse:
-        return 1.0 / (1.0 + math.exp(frac - 1.0) / sched.tau)
-    return 1.0 / (1.0 + math.exp((frac - 1.0) / sched.tau))
+    return 1.0 / (1.0 + math.exp((i / sched.total_steps - 1.0) / sched.tau))
 
 
 @dataclass
@@ -78,22 +74,31 @@ class TrainConfig:
     lambda_orth: float = 1.0
     tau: float = 0.125
     seed: int = 0
-    tasks: tuple[str, ...] = ()
+    tasks: tuple[str, ...] | None = None  # None or empty: every task the corpus supports
     n_neg: int = 10
-    grad_clip: float | None = None
     pretrain_steps: int = 0
     pretrain_lr: float = 1e-3
-    token_table_trainable: bool = False
-    literal_beta: bool = False
 
     def __post_init__(self):
         self.tasks = tuple(self.tasks or ())
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "pretrain_steps"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name in ("lr", "pretrain_lr", "tau"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ContractError(f"{name}: must be > 0, got {getattr(self, name)}")
         if self.variant not in VARIANTS:
-            raise ContractError(f"unknown variant {self.variant!r}")
+            raise ContractError(f"variant: unknown variant {self.variant!r}")
+        for t in self.tasks:
+            if t not in TASKS:
+                raise ContractError(f"tasks: unknown task {t!r}")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ContractError("tasks: duplicate task")
         if self.variant == "S" and len(self.tasks) != 1:
-            raise ContractError("variant S trains exactly one task per run")
+            raise ContractError("tasks: variant S trains exactly one task per run")
 
 
 def fusion_mode_for(variant: str) -> str:
@@ -303,7 +308,7 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
         sequences.append((p.example.task, p.plain.seq, p.plain.targets))
         if p.collab is not None:
             sequences.append((p.example.task, p.collab.seq, p.collab.targets))
-    opt = AdamW(backbone, lr=cfg.pretrain_lr, weight_decay=0.0, grad_clip=cfg.grad_clip)
+    opt = AdamW(backbone, lr=cfg.pretrain_lr, weight_decay=0.0)
     rng = SplitMix64(cfg.seed).fork(11)
     silent_bank = MultiLoraBank(model.lm_cfg, model.tasks, "none", np.random.default_rng(0))
     for _ in range(cfg.pretrain_steps):
@@ -317,7 +322,7 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
             loss = nm.scale(nm.add_n(losses), 1.0 / len(losses))
             grads = nm.backward(loss, tape)
         opt.step({n: nm.grad_of(grads, t) for n, t in backbone.items()})
-    lmmod.freeze_backbone(model.params, keep_token_table=cfg.token_table_trainable)
+    lmmod.freeze_backbone(model.params)
 
 
 def train(
@@ -343,10 +348,10 @@ def train(
         cf.d_cf,
         fusion_hidden,
         cfg.seed,
-        pretrain=cfg.pretrain_steps > 0 or cfg.token_table_trainable,
+        pretrain=cfg.pretrain_steps > 0,
     )
     if cfg.pretrain_steps == 0:
-        lmmod.freeze_backbone(model.params, keep_token_table=cfg.token_table_trainable)
+        lmmod.freeze_backbone(model.params)
 
     with_collab = model.uses_collab_prompt()
     pools: dict[str, list[Prepared]] = {}
@@ -366,17 +371,11 @@ def train(
 
     steps_per_epoch = sum(batches_of(len(pools[t])) for t in tasks)
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
-    sched = BetaSchedule(total_steps=total_steps, tau=cfg.tau, literal_parse=cfg.literal_beta)
+    sched = BetaSchedule(total_steps=total_steps, tau=cfg.tau)
 
     trainable = model.trainable()
     decay_names = {n for n in trainable if n.startswith(("lora.", "fusion."))}
-    opt = AdamW(
-        trainable,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        decay_names=decay_names,
-        grad_clip=cfg.grad_clip,
-    )
+    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay, decay_names=decay_names)
 
     stream = SplitMix64(cfg.seed).fork(13)
     result = TrainResult(model=model)

@@ -4,11 +4,13 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuserec import checkpoint as ckpt
 from fuserec.cli import main
 from fuserec.collab import CfTrainConfig
-from fuserec.config import RENAMES, SCHEMA, ConfigError, build, load_config
+from fuserec.config import RENAMES, SCHEMA, ConfigError, apply_set_overrides, build, default_config, load_config
 from fuserec.corpus import SplitSpec
 from fuserec.lm import LmConfig
 from fuserec.trainer import TrainConfig
@@ -121,6 +123,58 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["garbage"])
 
+    @pytest.mark.parametrize("assignment", ["lm.r=null", "corpus.k_core=null", "train.lr=null", "train.variant=null"])
+    def test_null_rejected_where_the_default_is_not_none(self, assignment):
+        field = assignment.split("=")[0]
+        with pytest.raises(ConfigError, match="^" + field.replace(".", r"\.") + ": must not be null"):
+            load_config(None, [assignment])
+
+    def test_null_in_json_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"lm": {"r": None}}))
+        with pytest.raises(ConfigError, match=r"^lm\.r: "):
+            load_config(str(path))
+
+    def test_null_accepted_where_the_default_is_none(self):
+        cfg = load_config(
+            None,
+            ["corpus.split=few-shot", "corpus.few_shot_n=4", "corpus.few_shot_n=null", "corpus.split=leave-one-out",
+             "corpus.cold_user_fraction=null", "train.tasks=RP", "train.tasks=null"],
+        )
+        assert cfg["corpus"]["few_shot_n"] is None
+        assert cfg["corpus"]["cold_user_fraction"] is None
+        assert cfg["train"]["tasks"] is None
+
+    @pytest.mark.parametrize("assignment", ["lm.r=--5", "lm.r=\u00b2", "lm.r=1.5", "train.lr=abc", "corpus.k_core_iterative=yes"])
+    def test_malformed_value_rejected(self, assignment):
+        with pytest.raises(ConfigError, match="^" + assignment.split("=")[0].replace(".", r"\.") + ": expected"):
+            load_config(None, [assignment])
+
+
+_SET_TEXT = {
+    int: st.integers(),
+    float: st.floats(allow_nan=False),
+    bool: st.booleans(),
+    str: st.text(min_size=1).filter(lambda v: v != "null"),
+    list: st.lists(st.text(st.characters(blacklist_characters=","), min_size=1)).filter(lambda v: v != ["null"]),
+}
+
+
+def _as_set_text(value) -> str:
+    return ",".join(value) if isinstance(value, list) else str(value)
+
+
+class TestSetCoercion:
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SCHEMA for k in SCHEMA[s]])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_set_text_round_trips(self, section, key, data):
+        kind = SCHEMA[section][key][1]
+        value = data.draw(_SET_TEXT[kind])
+        got = apply_set_overrides(default_config(), [f"{section}.{key}={_as_set_text(value)}"])[section][key]
+        assert type(got) is kind
+        assert got == value
+
 
 # keys the CLI passes to a dataclass by hand rather than through build
 BY_HAND = {"corpus.format", "corpus.n_neg", "corpus.history_limit", "fusion.h"}
@@ -160,13 +214,13 @@ class TestBuild:
     def test_every_schema_key_reaches_its_dataclass(self, section, key):
         base = BUILDS[section](load_config(None))
         cfg = load_config(None, _non_default(section, key))
-        field = RENAMES.get(key, key)
+        field = RENAMES.get(section, {}).get(key, key)
         want = cfg[section][key]
         want = tuple(want) if isinstance(want, list) else want
         assert getattr(BUILDS[section](cfg), field) == want != getattr(base, field)
 
     def test_rejected_value_names_the_section(self):
-        with pytest.raises(ConfigError, match="^cf: "):
+        with pytest.raises(ConfigError, match=r"^cf\.batch_size: "):
             build(CfTrainConfig, load_config(None, ["cf.batch_size=0"]), "cf")
 
 
@@ -296,6 +350,32 @@ class TestExitCodes:
         bad.write_text(json.dumps({"train": {"tau": 0}}))
         assert main(["build-corpus", "--config", str(bad), "--input", "x", "--out", "y"]) == 1
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("corpus", "k_core", -1), ("cf", "batch_size", 0), ("lm", "L", -1), ("train", "batch", 0), ("train", "tau", 0)],
+    )
+    def test_usage_error_for_bad_value_in_any_section(self, tmp_path, capsys, section, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: value}}))
+        assert main(["build-corpus", "--config", str(bad), "--input", "x", "--out", "y"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {section}.{key}: ")
+        assert "Traceback" not in err
+
+    def test_seed_flag_is_validated(self, pipeline, tmp_path, capsys):
+        _root, cfg_path, _data, corpus_dir, *_rest = pipeline
+        argv = ["train-cf", "--config", cfg_path, "--corpus", corpus_dir, "--out", str(tmp_path / "cf.ckpt"), "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: cf.seed: ")
+
+    def test_failed_stats_leave_no_corpus(self, tmp_path, capsys):
+        data = tmp_path / "full.tsv"
+        data.write_text("".join(f"{u}\t{v}\t4\t{10 * u + v}\n" for u in range(3) for v in range(4)))
+        out = tmp_path / "corpus"
+        assert main(["build-corpus", "--input", str(data), "--out", str(out), "--set", "corpus.k_core=0"]) == 2
+        assert "eligible negatives" in capsys.readouterr().err
+        assert not (out / "corpus.json").exists()
+
     def test_data_error_for_missing_input(self, tmp_path):
         assert main(["build-corpus", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out")]) == 2
 
@@ -328,6 +408,10 @@ class TestExitCodes:
             ("train", "lm.d_ff=-1"),
             ("train", "lm.L=-1"),
             ("train", "fusion.h=-1"),
+            ("train", "train.epochs=0"),
+            ("train", "train.lr=-1"),
+            ("train-cf", "cf.seed=-1"),
+            ("train", "train.seed=-1"),
         ],
     )
     def test_dataclass_rejection_is_a_usage_error(self, pipeline, tmp_path, capsys, command, assignment):

@@ -168,6 +168,8 @@ class TestSplits:
             SplitSpec(mode="warm-cold", cold_user_fraction=1.5)
         with pytest.raises(CorpusError):
             SplitSpec(mode="leave-one-out", cold_user_fraction=0.5)
+        with pytest.raises(CorpusError):
+            SplitSpec(mode="few-shot", few_shot_n=-3)
 
 
 @pytest.fixture(scope="module")

@@ -261,15 +261,6 @@ class TestTrainableParams:
         assert count == bank.parameter_count()
         assert all(n.startswith("lora.") for n in names)
 
-    def test_token_table_flag(self):
-        cfg = tiny_cfg()
-        rng = np.random.default_rng(15)
-        params = lmmod.init_backbone(cfg, rng, trainable=True)
-        lmmod.freeze_backbone(params, keep_token_table=True)
-        count, names = lmmod.trainable_params(params)
-        assert names == ["lm.token_table"]
-        assert count == cfg.vocab_size * cfg.d_model
-
     def test_config_validation(self):
         with pytest.raises(ShapeError):
             tiny_cfg(d_model=9, n_heads=2)

@@ -55,12 +55,6 @@ class TestBetaSchedule:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
 
-    def test_literal_parse_flag(self):
-        sched = BetaSchedule(total_steps=100, tau=0.125, literal_parse=True)
-        assert beta(0, sched) == pytest.approx(1.0 / (1.0 + math.exp(-1.0) / 0.125))
-        # the literal reading starts low instead of near one
-        assert beta(0, sched) < 0.26
-
     def test_bounds_checked(self):
         sched = BetaSchedule(total_steps=10)
         with pytest.raises(ContractError):
