@@ -99,8 +99,8 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
     cf = _load_cf(args.cf)
     _require(args.model, "fuserec train")
     model = tr.from_checkpoint(args.model)
-    if model.variant == "NCK":
-        raise cp.CorpusError("variant NCK has no fusion mapping to export")
+    if tr.VARIANTS[model.variant].fusion == "none":
+        raise cp.CorpusError(f"variant {model.variant} has no fusion mapping to export")
     export_projected(model.fusion, cf, args.out)
     print(f"wrote projected vectors for {cf.user_table.shape[0]} users and {cf.item_table.shape[0]} items")
     return 0

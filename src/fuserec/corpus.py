@@ -84,7 +84,6 @@ class TaskExample:
     task: str
     user_id: int
     history: tuple[int, ...]
-    history_ratings: tuple[int, ...]
     history_comments: tuple[str, ...] | None
     candidate: int
     label: int
@@ -96,8 +95,6 @@ class ParseResult:
     interactions: list[Interaction]
     catalog: dict[int, str]
     duplicates_dropped: int
-    user_keys: dict | None = None  # raw key -> dense id, jsonl only
-    item_keys: dict | None = None
 
 
 @dataclass
@@ -140,8 +137,6 @@ def parse_interactions(path: str, fmt: str) -> ParseResult:
         raise CorpusError(f"unknown format {fmt!r}")
     raw: list[Interaction] = []
     catalog: dict[int, str] = {}
-    user_keys: dict | None = None
-    item_keys: dict | None = None
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "review-jsonl":
             user_keys, item_keys = {}, {}
@@ -195,7 +190,7 @@ def parse_interactions(path: str, fmt: str) -> ParseResult:
         seen.add(key)
         deduped.append(it)
     deduped.sort(key=lambda it: (it.user_id, it.timestamp))
-    return ParseResult(deduped, catalog, len(raw) - len(deduped), user_keys, item_keys)
+    return ParseResult(deduped, catalog, len(raw) - len(deduped))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +399,9 @@ def build_examples(
     for cand, hist in _eval_points(corpus, split_name):
         hist = hist[-corpus.history_limit :]
         items = tuple(h.item_id for h in hist)
-        ratings = tuple(h.rating for h in hist)
         comments = tuple(h.comment or "" for h in hist) if task == "Explain" else None
         u = cand.user_id
-        base = dict(
-            user_id=u, history=items, history_ratings=ratings, history_comments=comments
-        )
+        base = dict(user_id=u, history=items, history_comments=comments)
         if task in ("RP", "Explain"):
             examples.append(TaskExample(task=task, candidate=cand.item_id, label=cand.rating, **base))
         elif task == "CTR":

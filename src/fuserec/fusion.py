@@ -145,7 +145,6 @@ class GenericFusion:
     """Ablation mapping: one shared affine map, or two separate ones."""
 
     def __init__(self, d_cf: int, d_llm: int, rng: np.random.Generator, shared: bool):
-        self.shared = shared
         self.kind = "generic-shared" if shared else "generic-two"
         if shared:
             self.user_map = self.item_map = GenericMapper(d_cf, d_llm, rng, "shared_map")

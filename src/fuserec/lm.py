@@ -65,11 +65,19 @@ def lora_apply(x: Tensor, w: Tensor, adapter: LoraAdapter | None) -> Tensor:
     return nm.add(base, nm.matmul(nm.matmul(x, adapter.A), adapter.B))
 
 
-class MultiLoraBank:
-    """Adapter storage with per-mode layout.
+def adapter_owner(mode: str, proj: str, task: str) -> str | None:
+    """The task that owns the adapter of one (projection, task) pair under a
+    bank mode, or None when the adapter is shared by every task."""
+    if mode == "per-task-full" or (mode == "multi-lora" and proj == "q"):
+        return task
+    return None
 
-    multi-lora: per layer, one query adapter per task plus one shared adapter
-    each for key/value/output. per-task-full: one adapter per task for every
+
+class MultiLoraBank:
+    """Adapter storage: per layer, one adapter per distinct adapter_owner.
+
+    multi-lora: one query adapter per task plus one shared adapter each for
+    key/value/output. per-task-full: one adapter per task for every
     projection. single-shared: one adapter per projection used by all tasks.
     none: no adapters.
     """
@@ -84,42 +92,26 @@ class MultiLoraBank:
         self.tasks = tuple(tasks)
         self.n_layers = cfg.n_layers
         self._adapters: dict[tuple[int, str, str | None], LoraAdapter] = {}
-        d, r = cfg.d_model, cfg.rank
+        if mode == "none":
+            return
         for layer in range(cfg.n_layers):
-            if mode == "none":
-                continue
-            if mode == "multi-lora":
+            for proj in PROJS:
                 for task in self.tasks:
-                    self._adapters[(layer, "q", task)] = LoraAdapter(d, r, rng)
-                for proj in ("k", "v", "o"):
-                    self._adapters[(layer, proj, None)] = LoraAdapter(d, r, rng)
-            elif mode == "per-task-full":
-                for task in self.tasks:
-                    for proj in PROJS:
-                        self._adapters[(layer, proj, task)] = LoraAdapter(d, r, rng)
-            else:  # single-shared
-                for proj in PROJS:
-                    self._adapters[(layer, proj, None)] = LoraAdapter(d, r, rng)
+                    key = (layer, proj, adapter_owner(mode, proj, task))
+                    if key not in self._adapters:
+                        self._adapters[key] = LoraAdapter(cfg.d_model, cfg.rank, rng)
 
     def adapter(self, layer: int, proj: str, task: str) -> LoraAdapter | None:
-        if self.mode == "none":
-            return None
+        """The adapter a task's projection runs through; None in a bank
+        without adapters (mode none)."""
         if task not in self.tasks:
             raise ContractError(f"task {task!r} not served by this bank")
-        if self.mode == "multi-lora":
-            key = (layer, proj, task if proj == "q" else None)
-        elif self.mode == "per-task-full":
-            key = (layer, proj, task)
-        else:
-            key = (layer, proj, None)
-        return self._adapters[key]
+        return self._adapters[(layer, proj, adapter_owner(self.mode, proj, task))] if self._adapters else None
 
     def task_query_adapters(self, layer: int) -> list[tuple[str, LoraAdapter]]:
-        """Per-task query adapters of one layer, in task order; empty when the
-        mode has no task-specific queries."""
-        if self.mode in ("none", "single-shared"):
-            return []
-        return [(t, self._adapters[(layer, "q", t)]) for t in self.tasks]
+        """Task-owned query adapters of one layer, in task order; empty when
+        every query adapter is shared or there are none."""
+        return [(t, self._adapters[(layer, "q", t)]) for t in self.tasks if (layer, "q", t) in self._adapters]
 
     def adapter_count(self) -> int:
         return len(self._adapters)

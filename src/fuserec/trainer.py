@@ -5,14 +5,16 @@ a text-only prompt and a collaborative prompt whose placeholder rows carry
 the projected user/item vectors. The two answer-token cross-entropies are
 blended by a decaying weight so text competence is established before the
 collaborative path dominates, and the query-adapter orthogonality penalty is
-added on top. Variants rewire the fusion mode, the adapter bank layout, and
-the loss form.
+added on top. Each variant's row in VARIANTS names its fusion mode, adapter
+bank layout and loss form.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -37,7 +39,24 @@ from .numerics import ContractError, NumericError, Tensor
 from .optim import AdamW
 from .prng import SplitMix64
 
-VARIANTS = ("CKF", "NCK", "NPM", "TLM", "NML", "NEN", "S")
+
+class Variant(NamedTuple):
+    """How one variant wires the model: fusion kind, adapter bank mode, loss form."""
+
+    fusion: str
+    bank: str
+    loss: str
+
+
+VARIANTS = {
+    "CKF": Variant("personalized", "multi-lora", "curriculum"),
+    "NCK": Variant("none", "multi-lora", "text-only"),
+    "NPM": Variant("generic-shared", "multi-lora", "curriculum"),
+    "TLM": Variant("generic-two", "multi-lora", "curriculum"),
+    "NML": Variant("personalized", "single-shared", "curriculum"),
+    "NEN": Variant("personalized", "multi-lora", "collab-only"),
+    "S": Variant("personalized", "multi-lora", "curriculum"),
+}
 
 
 @dataclass
@@ -101,18 +120,6 @@ class TrainConfig:
             raise ContractError("tasks: variant S trains exactly one task per run")
 
 
-def fusion_mode_for(variant: str) -> str:
-    return {"NCK": "none", "NPM": "generic-shared", "TLM": "generic-two"}.get(variant, "personalized")
-
-
-def bank_mode_for(variant: str) -> str:
-    return "single-shared" if variant == "NML" else "multi-lora"
-
-
-def loss_form_for(variant: str) -> str:
-    return {"NCK": "text-only", "NEN": "collab-only"}.get(variant, "curriculum")
-
-
 class RecModel:
     """Backbone parameters, adapter bank and fusion module for one run."""
 
@@ -122,16 +129,16 @@ class RecModel:
         self.tasks = tuple(tasks)
         self.d_cf = d_cf
         self.fusion_hidden = fusion_hidden
+        wiring = VARIANTS[variant]
         rng = np.random.default_rng(seed)
         self.params = lmmod.init_backbone(lm_cfg, rng, trainable=pretrain)
-        self.bank = MultiLoraBank(lm_cfg, self.tasks, bank_mode_for(variant), rng)
-        mode = fusion_mode_for(variant)
-        if mode == "personalized":
+        self.bank = MultiLoraBank(lm_cfg, self.tasks, wiring.bank, rng)
+        if wiring.fusion == "personalized":
             self.fusion = fz.PersonalizedFusion(d_cf, lm_cfg.d_model, fusion_hidden, rng)
-        elif mode == "none":
+        elif wiring.fusion == "none":
             self.fusion = fz.NoFusion()
         else:
-            self.fusion = fz.GenericFusion(d_cf, lm_cfg.d_model, rng, shared=(mode == "generic-shared"))
+            self.fusion = fz.GenericFusion(d_cf, lm_cfg.d_model, rng, shared=(wiring.fusion == "generic-shared"))
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = dict(self.params)
@@ -143,7 +150,7 @@ class RecModel:
         return {n: t for n, t in self.named_parameters().items() if t.requires_grad}
 
     def uses_collab_prompt(self) -> bool:
-        return self.variant != "NCK"
+        return VARIANTS[self.variant].fusion != "none"
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +252,7 @@ def batch_loss(
     task = batch[0].example.task
     if any(p.example.task != task for p in batch):
         raise ContractError("batch mixes tasks")
-    form = loss_form_for(model.variant)
+    form = VARIANTS[model.variant].loss
     inv = 1.0 / len(batch)
     loss_t1 = loss_t2 = None
     if form != "collab-only":
@@ -325,6 +332,26 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
     lmmod.freeze_backbone(model.params)
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Python's cyclic garbage collector off inside the block, as before after it.
+
+    A training step puts thousands of short-lived, cycle-free objects on the
+    tape, which reference counting frees. Left on, the collector keeps
+    promoting them and so keeps running full passes, each walking every object
+    the training pools hold: about a fifth of a step at the desk scale of
+    acceptance criterion 8.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def train(
     corpus: Corpus,
     cf: CfEmbeddings,
@@ -362,6 +389,14 @@ def train(
     for task in tasks:
         examples = build_examples(corpus, task, "valid", n_neg=cfg.n_neg, seed=cfg.seed)
         valid_pools[task] = [prepare_example(ex, corpus, cf, with_collab) for ex in examples]
+    longest = max(
+        (len(e.seq) for pool in (*pools.values(), *valid_pools.values()) for p in pool for e in (p.plain, p.collab) if e is not None),
+        default=0,
+    )
+    if longest > lm_cfg.max_len:
+        from .config import ConfigError  # config imports this module, so not at the top
+
+        raise ConfigError(f"lm.max_len: {lm_cfg.max_len} is shorter than the longest training sequence, {longest} tokens")
 
     if cfg.pretrain_steps > 0:
         _pretrain_backbone(model, [p for task in tasks for p in pools[task]], cfg)

@@ -309,6 +309,7 @@ def desk_scale_run():
     return corpus, cf, result, report, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_learning(desk_scale_run):
     corpus, cf, result, report, elapsed = desk_scale_run
     ctr_auc = report["tasks"]["CTR"]["auc"]

@@ -376,6 +376,14 @@ class TestExitCodes:
         assert "eligible negatives" in capsys.readouterr().err
         assert not (out / "corpus.json").exists()
 
+    def test_max_len_below_longest_prompt_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        _root, cfg_path, _data, corpus_dir, cf_path, *_rest = pipeline
+        model = tmp_path / "model.ckpt"
+        argv = ["train", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--out", str(model)]
+        assert main(argv + ["--set", "lm.max_len=20", "--set", "train.pretrain_steps=1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: lm.max_len: ")
+        assert not model.exists()
+
     def test_data_error_for_missing_input(self, tmp_path):
         assert main(["build-corpus", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out")]) == 2
 

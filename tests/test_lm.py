@@ -95,6 +95,29 @@ class TestBankLayout:
         with pytest.raises(ContractError):
             bank.adapter(0, "q", "CTR")
 
+    @pytest.mark.parametrize("mode", lmmod.BANK_MODES)
+    def test_each_adapter_is_named_under_its_owner(self, mode):
+        cfg = tiny_cfg()
+        tasks = TASKS4[:3]
+        bank = MultiLoraBank(cfg, tasks, mode, np.random.default_rng(11))
+        named = bank.named_parameters()
+        reached = set()
+        for layer in range(cfg.n_layers):
+            for proj in lmmod.PROJS:
+                for i, task in enumerate(tasks):
+                    ad = bank.adapter(layer, proj, task)
+                    if mode == "none":
+                        assert ad is None
+                        continue
+                    owned = mode == "per-task-full" or (mode == "multi-lora" and proj == "q")
+                    prefix = f"lora.{f'task{i}' if owned else 'shared'}.layer{layer}.{proj}"
+                    assert ad.A is named[prefix + ".A"] and ad.B is named[prefix + ".B"]
+                    reached |= {prefix + ".A", prefix + ".B"}
+            assert bool(bank.task_query_adapters(layer)) == (mode in ("multi-lora", "per-task-full"))
+        assert reached == set(named)
+        with pytest.raises(ContractError):
+            bank.adapter(0, "q", "Explain")
+
 
 class TestOrthLoss:
     def build_bank(self, a_matrices, d=3, rank=2, layers=1):

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 
@@ -210,7 +211,7 @@ class TestVariantDispatch:
         model = RecModel(lm_cfg, variant, tasks, cf.d_cf, 4, seed=3)
         assert model.fusion.kind == fusion_kind
         assert model.bank.mode == bank_mode
-        assert tr.loss_form_for(variant) == loss_form
+        assert tr.VARIANTS[variant] == (fusion_kind, bank_mode, loss_form)
 
     def test_every_variant_covered(self):
         assert sorted(self.MATRIX) == sorted(tr.VARIANTS)
@@ -326,6 +327,24 @@ class TestTrainLoop:
         result = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
         for name, t in result.model.params.items():
             assert not t.requires_grad, name
+
+    def test_collector_paused_without_leaving_cyclic_garbage(self, world):
+        # train pauses the cyclic collector, so reference counting alone must
+        # free what its steps allocate, and the collector's state comes back
+        corpus, cf, lm_cfg = world
+        cfg = small_train_cfg(tasks=("RP", "CTR"), pretrain_steps=2, epochs=2)
+        assert gc.isenabled()
+        tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
+        assert gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
+            assert not gc.isenabled()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_explain_without_comments_rejected(self):
         interactions, catalog = two_genre_data(n_users=8, n_items=20, per_user=6, seed=3, with_comments=False)
