@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,11 +25,31 @@ class CheckpointError(ValueError):
     """Corrupt or inconsistent checkpoint file."""
 
 
+@contextmanager
+def atomic_open(path: str, binary: bool = False):
+    """A handle for writing the whole of path at once.
+
+    The block writes a temp file in path's directory, which replaces path
+    (os.replace) when the block ends without error; if it raises, the temp file
+    is removed and path keeps what it held. No fsync: this guards against a run
+    dying mid-write, not against power loss.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(path: str, named: dict[str, np.ndarray]) -> None:
     names = sorted(named)
     if len(set(names)) != len(names):
         raise CheckpointError("duplicate tensor names")
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(names)))
         for name in names:
@@ -81,7 +103,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
 
 
 def save_meta(path: str, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -21,10 +21,6 @@ from .lm import LmConfig
 from .numerics import ContractError, NumericError
 
 
-class UsageError(ValueError):
-    pass
-
-
 def cmd_build_corpus(cfg: dict, args) -> int:
     spec = build(cp.SplitSpec, cfg, "corpus")
     parsed = cp.parse_interactions(args.input, cfg["corpus"]["format"])
@@ -71,7 +67,7 @@ def cmd_train(cfg: dict, args) -> int:
     result = tr.train(corpus, cf, lm_cfg, train_cfg, fusion_hidden=cfg["fusion"]["h"])
     tr.to_checkpoint(result, train_cfg, args.out)
     log_path = args.log if args.log else args.out + ".log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(log_path) as fh:
         for rec in result.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"steps: {result.steps}; validation loss per epoch: {[round(v, 4) for v in result.valid_losses]}")
@@ -85,7 +81,7 @@ def cmd_evaluate(cfg: dict, args) -> int:
     model = tr.from_checkpoint(args.model)
     report = evaluate_model(model, corpus, cf, n_neg=cfg["corpus"]["n_neg"], seed=cfg["train"]["seed"])
     report["variant"] = model.variant
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(args.out) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     for task, metrics in report["tasks"].items():
@@ -163,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         seed = [] if args.seed is None else [f"{args.seed_section}.seed={args.seed}"]
         return args.func(load_config(args.config, args.assignments + seed), args)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (cp.CorpusError, ckpt.CheckpointError, ContractError, FileNotFoundError, IndexError) as exc:

@@ -15,6 +15,7 @@ import re
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
+from .checkpoint import atomic_open
 from .prng import SplitMix64
 
 TASKS = ("RP", "CTR", "TopK", "Explain")
@@ -544,7 +545,7 @@ class Vocab:
         return " ".join(self.tokens[i] for i in ids if i not in keep)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for tok in self.tokens:
                 fh.write(tok + "\n")
 
@@ -591,16 +592,16 @@ def _unescape(text: str) -> str:
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "interactions.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "interactions.tsv")) as fh:
         for i, it in enumerate(corpus.interactions):
             comment = _escape(it.comment) if it.comment is not None else ""
             fh.write(f"{i}\t{it.user_id}\t{it.item_id}\t{it.rating}\t{it.timestamp}\t{comment}\n")
-    with open(os.path.join(out_dir, "catalog.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "catalog.tsv")) as fh:
         for v in sorted(corpus.catalog):
             fh.write(f"{v}\t{_escape(corpus.catalog[v])}\n")
     corpus.vocab.save(os.path.join(out_dir, "vocab.txt"))
     keys = {id(it): i for i, it in enumerate(corpus.interactions)}
-    with open(os.path.join(out_dir, "splits.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "splits.tsv")) as fh:
         for role, rows in (("train", corpus.split.train), ("valid", corpus.split.valid), ("test", corpus.split.test)):
             for it in rows:
                 fh.write(f"{keys[id(it)]}\t{role}\n")
@@ -610,7 +611,7 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         dropped_users=corpus.split.dropped_users,
         cold_user_ids=sorted(corpus.split.cold_user_ids),
     )
-    with open(os.path.join(out_dir, "corpus.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "corpus.json")) as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

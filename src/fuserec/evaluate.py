@@ -48,7 +48,7 @@ def answer_distribution(
         ids.append(tok)
     enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
     rows = tr.cf_rows(example, corpus, cf, [example.candidate])
-    (embs,) = tr.embed(model, [enc.seq[: enc.n_prompt]], enc.positions, rows)
+    embs = tr.embed(model, [enc.seq[: enc.n_prompt]], [enc.positions], rows)
     logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
     sub = logits.data[enc.n_prompt - 1][ids]
     e = np.exp(sub - sub.max())
@@ -59,7 +59,8 @@ def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example:
     """Mean per-token title log-likelihood for every candidate in the set.
 
     The prompt lists the whole candidate set, so it is encoded and its user
-    vector mapped once; each candidate brings its own item vector and title.
+    vector mapped once; each candidate brings its own item vector and title
+    and gets a decoder pass of its own.
     """
     if example.candidate_set is None:
         raise ContractError("candidate scoring requires a candidate set")
@@ -67,8 +68,10 @@ def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example:
     prompt = enc.seq[: enc.n_prompt]
     titles = [corpus.vocab.encode(corpus.catalog[c], bos=False) for c in example.candidate_set]
     rows = tr.cf_rows(example, corpus, cf, example.candidate_set)
+    ep_u = tr.map_users(model, rows[:1]) if enc.positions.user_pos is not None else None
     scores = []
-    for title_ids, embs in zip(titles, tr.embed(model, [prompt + t for t in titles], enc.positions, rows)):
+    for title_ids, row in zip(titles, rows):
+        embs = tr.embed(model, [prompt + title_ids], [enc.positions], [row], ep_u)
         logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
         total = sum(_log_softmax(logits.data[enc.n_prompt - 1 + j])[tok] for j, tok in enumerate(title_ids))
         scores.append(total / len(title_ids))

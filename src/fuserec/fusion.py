@@ -2,18 +2,23 @@
 
 A per-user (and per-item) mapping matrix is generated by a small two-layer
 network from an attention-pooled view of the user's history, then applied as
-a plain matrix product. Ablation modes replace this with one or two generic
-affine maps, or skip injection entirely. The pooled inputs come from frozen
-CF tables, so pooling is plain numpy; everything from the generator weights
-onward runs on the gradient tape.
+a plain matrix product. Every step takes B rows at once, so a packed batch
+maps all its users (or items) with one pass through each network. Ablation
+modes replace this with one or two generic affine maps, or skip injection
+entirely. The pooled inputs come from frozen CF tables, so pooling is plain
+numpy; everything from the generator weights onward runs on the gradient
+tape.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import numerics as nm
-from .corpus import PlaceholderPositions
+from .checkpoint import atomic_open
 from .numerics import ContractError, Tensor
 
 
@@ -61,20 +66,46 @@ class MetaNetwork:
 
 
 def generate_mapping(pooled: np.ndarray, net: MetaNetwork) -> Tensor:
-    """Mapping matrix for one pooled input; differentiable into the generator."""
-    if pooled.shape != (net.d_cf,):
-        raise ContractError(f"pooled vector of shape {pooled.shape}, expected ({net.d_cf},)")
-    p = Tensor(pooled.reshape(1, net.d_cf))
-    h = nm.relu(nm.add(nm.matmul(p, net.w1), net.b1))
-    flat = nm.add(nm.matmul(h, net.w2), net.b2)
-    return nm.reshape(flat, (net.d_cf, net.d_llm))
+    """Mapping matrices for B pooled rows (B x d_cf), one per row, each
+    flattened row-major into a row of the B x (d_cf * d_llm) result;
+    differentiable into the generator."""
+    if pooled.ndim != 2 or pooled.shape[1] != net.d_cf:
+        raise ContractError(f"pooled rows of shape {pooled.shape}, expected (B, {net.d_cf})")
+    h = nm.relu(nm.add(nm.matmul(Tensor(pooled), net.w1), net.b1))
+    return nm.add(nm.matmul(h, net.w2), net.b2)
 
 
-def project(e: np.ndarray, mapping: Tensor) -> Tensor:
-    """Row vector through the personalized mapping: a 1 x d_llm tensor."""
-    if e.shape != (mapping.shape[0],):
-        raise ContractError(f"embedding of shape {e.shape} vs mapping {mapping.shape}")
-    return nm.matmul(Tensor(e.reshape(1, -1)), mapping)
+def project(e: np.ndarray, mappings: Tensor) -> Tensor:
+    """Each of B rows (B x d_cf) through its own flattened mapping: a B x d_llm
+    tensor whose row b is e[b] @ M_b.
+
+    The B vector-matrix products are one elementwise product of the mappings
+    with each e[b] repeated d_llm times, then one matmul with a fixed 0/1 matrix
+    that sums the d_cf products of each output column.
+    """
+    if e.ndim != 2 or mappings.data.ndim != 2 or e.shape[0] != mappings.shape[0] or mappings.shape[1] % e.shape[1]:
+        raise ContractError(f"embeddings of shape {e.shape} vs flattened mappings {mappings.shape}")
+    d_cf, d_llm = e.shape[1], mappings.shape[1] // e.shape[1]
+    products = nm.mul(Tensor(np.repeat(e, d_llm, axis=1)), mappings)
+    return nm.matmul(products, _column_sums(d_cf, d_llm))
+
+
+@functools.lru_cache(maxsize=None)
+def _column_sums(d_cf: int, d_llm: int) -> Tensor:
+    """(d_cf * d_llm) x d_llm 0/1 matrix: entry (i * d_llm + j, j) is 1. Read-only."""
+    sums = Tensor(np.tile(np.eye(d_llm), (d_cf, 1)))
+    sums.data.flags.writeable = False
+    return sums
+
+
+def _pooled(e: np.ndarray, histories: Sequence[np.ndarray] | None) -> np.ndarray:
+    """Each row attention-pooled over its history; a row without history
+    (histories None, or an empty history) pools to itself."""
+    if histories is None:
+        return e
+    if len(histories) != e.shape[0]:
+        raise ContractError(f"{e.shape[0]} rows but {len(histories)} histories")
+    return np.stack([row if h.shape[0] == 0 else attention_pool(row, h)[0] for row, h in zip(e, histories)])
 
 
 class GenericMapper:
@@ -92,32 +123,37 @@ class GenericMapper:
 
 
 def generic_map(e: np.ndarray, mapper: GenericMapper) -> Tensor:
-    if e.shape != (mapper.d_cf,):
-        raise ContractError(f"embedding of shape {e.shape}, expected ({mapper.d_cf},)")
-    return nm.add(nm.matmul(Tensor(e.reshape(1, -1)), mapper.w), mapper.b)
+    """B rows (B x d_cf) through the affine map: a B x d_llm tensor."""
+    if e.ndim != 2 or e.shape[1] != mapper.d_cf:
+        raise ContractError(f"embeddings of shape {e.shape}, expected (B, {mapper.d_cf})")
+    return nm.add(nm.matmul(Tensor(e), mapper.w), mapper.b)
 
 
 def inject(
-    prompt_ids: list[int],
-    positions: PlaceholderPositions,
+    ids: list[int],
+    user_rows: Sequence[int],
+    item_rows: Sequence[int],
     token_table: Tensor,
     ep_user: Tensor | None,
     ep_item: Tensor | None,
 ) -> Tensor:
-    """Token embedding sequence with placeholder rows replaced by projected vectors."""
-    emb = nm.gather_rows(token_table, prompt_ids)
-    if (ep_user is None) != (positions.user_pos is None) or (ep_item is None) != (positions.item_pos is None):
-        raise ContractError("placeholder vectors and recorded positions disagree")
-    if ep_user is not None:
-        emb = nm.row_set(emb, positions.user_pos, nm.reshape(ep_user, (token_table.shape[1],)))
-    if ep_item is not None:
-        emb = nm.row_set(emb, positions.item_pos, nm.reshape(ep_item, (token_table.shape[1],)))
+    """Token embedding rows of ids with the placeholder rows replaced by
+    projected vectors: row user_rows[b] by ep_user's row b, and likewise for items."""
+    emb = nm.gather_rows(token_table, ids)
+    for rows, vectors in ((user_rows, ep_user), (item_rows, ep_item)):
+        if len(rows) != (0 if vectors is None else vectors.shape[0]):
+            raise ContractError("placeholder vectors and recorded positions disagree")
+        if vectors is not None:
+            emb = nm.row_set(emb, list(rows), vectors)
     return emb
 
 
 # ---------------------------------------------------------------------------
 # variant dispatch
 # ---------------------------------------------------------------------------
+#
+# map_user/map_item take B rows (B x d_cf) and the B histories they pool over
+# (None: no history for any row) and return the B x d_llm projected vectors.
 
 
 class PersonalizedFusion:
@@ -129,13 +165,11 @@ class PersonalizedFusion:
         self.user_net = MetaNetwork(d_cf, d_llm, hidden, rng, "user_meta")
         self.item_net = MetaNetwork(d_cf, d_llm, hidden, rng, "item_meta")
 
-    def map_user(self, e_u: np.ndarray, history: np.ndarray | None) -> Tensor:
-        pooled = e_u if history is None or history.shape[0] == 0 else attention_pool(e_u, history)[0]
-        return project(e_u, generate_mapping(pooled, self.user_net))
+    def map_user(self, e_u: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
+        return project(e_u, generate_mapping(_pooled(e_u, histories), self.user_net))
 
-    def map_item(self, e_v: np.ndarray, history: np.ndarray | None) -> Tensor:
-        pooled = e_v if history is None or history.shape[0] == 0 else attention_pool(e_v, history)[0]
-        return project(e_v, generate_mapping(pooled, self.item_net))
+    def map_item(self, e_v: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
+        return project(e_v, generate_mapping(_pooled(e_v, histories), self.item_net))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {**self.user_net.named_parameters(), **self.item_net.named_parameters()}
@@ -152,10 +186,10 @@ class GenericFusion:
             self.user_map = GenericMapper(d_cf, d_llm, rng, "user_map")
             self.item_map = GenericMapper(d_cf, d_llm, rng, "item_map")
 
-    def map_user(self, e_u: np.ndarray, history: np.ndarray | None) -> Tensor:
+    def map_user(self, e_u: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
         return generic_map(e_u, self.user_map)
 
-    def map_item(self, e_v: np.ndarray, history: np.ndarray | None) -> Tensor:
+    def map_item(self, e_v: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
         return generic_map(e_v, self.item_map)
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -169,7 +203,7 @@ class NoFusion:
 
     kind = "none"
 
-    def map_user(self, e_u, history):
+    def map_user(self, e_u, histories):
         raise ContractError("fusion disabled for this variant")
 
     map_item = map_user
@@ -184,12 +218,11 @@ def export_projected(fusion, cf, out_path: str) -> None:
     Users are pooled over nothing here (self-pooled); items likewise: this is
     an id-conditioned snapshot of the mapping, not a training-time quantity.
     """
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         for row_kind, table, mapper in (
             ("user", cf.user_table, fusion.map_user),
             ("item", cf.item_table, fusion.map_item),
         ):
-            for i in range(table.shape[0]):
-                vec = mapper(table[i], None)
-                flat = ",".join(f"{x:.8g}" for x in vec.data.reshape(-1))
+            for i, vec in enumerate(mapper(table, None).data):
+                flat = ",".join(f"{x:.8g}" for x in vec)
                 fh.write(f"{row_kind},{i},{flat}\n")

@@ -1,15 +1,17 @@
 """Micro decoder-only transformer with shared/task-specific low-rank adapters.
 
 The frozen backbone is a standard pre-norm decoder (causal multi-head
-attention, GELU feed-forward, tied output projection). Adapters add a
-trainable rank-limited delta x @ A @ B on top of the frozen projections:
-query projections get one adapter per task, key/value/output share one
-adapter across tasks. An orthogonality penalty pushes different tasks' query
+attention, GELU feed-forward, tied output projection). One pass runs a pack
+of sequences laid end to end as rows, kept apart by their lengths. Adapters
+add a trainable rank-limited delta x @ A @ B on top of the frozen
+projections: query projections get one adapter per task, key/value/output
+share one adapter across tasks. An orthogonality penalty pushes different tasks' query
 A matrices toward disjoint column spaces.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,53 +200,53 @@ def freeze_backbone(params: dict[str, Tensor]) -> None:
         t.requires_grad = False
 
 
-_MASK_CACHE: dict[int, Tensor] = {}
-
-
-def causal_mask(t_len: int) -> Tensor:
-    if t_len not in _MASK_CACHE:
-        m = np.triu(np.full((t_len, t_len), -1e30), k=1)
-        _MASK_CACHE[t_len] = Tensor(m)
-    return _MASK_CACHE[t_len]
-
-
 def mha_forward(
-    x: Tensor, task: str, layer: int, params: dict[str, Tensor], bank: MultiLoraBank, cfg: LmConfig
+    x: Tensor,
+    task: str,
+    layer: int,
+    params: dict[str, Tensor],
+    bank: MultiLoraBank,
+    cfg: LmConfig,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """Causal multi-head attention for one layer; query projections use the
+    """Causal multi-head attention for one layer over a pack of sequences of
+    the given lengths (default: x is one sequence); query projections use the
     task's adapter, key/value/output the shared ones (mode permitting)."""
-    t_len = x.shape[0]
     p = f"lm.layer{layer}"
     q = lora_apply(x, params[f"{p}.q"], bank.adapter(layer, "q", task))
     k = lora_apply(x, params[f"{p}.k"], bank.adapter(layer, "k", task))
     v = lora_apply(x, params[f"{p}.v"], bank.adapter(layer, "v", task))
-    d_head = cfg.d_model // cfg.n_heads
-    mask = causal_mask(t_len)
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh = nm.slice_cols(q, lo, hi)
-        kh = nm.slice_cols(k, lo, hi)
-        vh = nm.slice_cols(v, lo, hi)
-        scores = nm.add(nm.scale(nm.matmul(qh, nm.transpose(kh)), 1.0 / np.sqrt(d_head)), mask)
-        att = nm.softmax(scores, axis=1)
-        heads.append(nm.matmul(att, vh))
-    merged = heads[0] if cfg.n_heads == 1 else nm.concat_cols(heads)
-    return lora_apply(merged, params[f"lm.layer{layer}.o"], bank.adapter(layer, "o", task))
+    merged = nm.causal_attention(q, k, v, [x.shape[0]] if lengths is None else lengths, cfg.n_heads)
+    return lora_apply(merged, params[f"{p}.o"], bank.adapter(layer, "o", task))
 
 
-def forward(embs: Tensor, task: str, params: dict[str, Tensor], bank: MultiLoraBank, cfg: LmConfig) -> Tensor:
-    """Pre-norm decoder stack over an embedding sequence; returns T x V logits
-    through the tied token-table projection."""
-    t_len = embs.shape[0]
-    if t_len > cfg.max_len:
-        raise ContractError(f"sequence of {t_len} exceeds max length {cfg.max_len}")
-    pos = nm.gather_rows(params["lm.pos_table"], list(range(t_len)))
+def forward(
+    embs: Tensor,
+    task: str,
+    params: dict[str, Tensor],
+    bank: MultiLoraBank,
+    cfg: LmConfig,
+    lengths: Sequence[int] | None = None,
+) -> Tensor:
+    """Pre-norm decoder stack over a pack of embedding sequences, given by
+    their lengths (default: embs is one sequence); returns the packed logits,
+    one row per embedding row, through the tied token-table projection.
+
+    Positions restart at 0 in every sequence and no row attends outside its
+    own sequence, so each sequence's logits are those of a pass over it alone.
+    """
+    lengths = [embs.shape[0]] if lengths is None else list(lengths)
+    if sum(lengths) != embs.shape[0]:
+        raise ContractError(f"sequence lengths {lengths} do not add up to {embs.shape[0]} rows")
+    for t_len in lengths:
+        if t_len > cfg.max_len:
+            raise ContractError(f"sequence of {t_len} exceeds max length {cfg.max_len}")
+    pos = nm.gather_rows(params["lm.pos_table"], [i for t_len in lengths for i in range(t_len)])
     x = nm.add(embs, pos)
     for i in range(cfg.n_layers):
         p = f"lm.layer{i}"
         h = nm.layer_norm(x, params[f"{p}.norm.attn.gain"], params[f"{p}.norm.attn.bias"])
-        x = nm.add(x, mha_forward(h, task, i, params, bank, cfg))
+        x = nm.add(x, mha_forward(h, task, i, params, bank, cfg, lengths))
         h2 = nm.layer_norm(x, params[f"{p}.norm.ffn.gain"], params[f"{p}.norm.ffn.bias"])
         f = nm.matmul(nm.gelu(nm.add(nm.matmul(h2, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])), params[f"{p}.ffn.w2"])
         x = nm.add(x, nm.add(f, params[f"{p}.ffn.b2"]))

@@ -6,12 +6,15 @@ the result needs a gradient. `backward` replays the tape in reverse, in a fixed
 order so repeated passes are bitwise identical, and returns gradients for the
 requires_grad leaves the loss reached; `grad_of` gives zeros for the rest.
 Shapes are limited to 2-D matrices, row/column vectors and scalars plus
-last-axis bias broadcast; nothing here fuses, parallelizes, or broadcasts
-beyond that.
+last-axis bias broadcast. One op is fused: `causal_attention` takes packed 2-D
+query/key/value rows of several sequences and returns packed 2-D rows, padding
+to a 4-D batch only inside its forward and backward. Nothing else fuses,
+parallelizes, or broadcasts beyond that.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -253,6 +256,92 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _op("softmax", (x,), s, lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
+def _segment_sizes(lengths: Sequence[int], total: int) -> list[int]:
+    """The lengths of consecutive segments of total rows: positive, summing to total."""
+    sizes = list(lengths)
+    if not sizes or min(sizes) < 1 or sum(sizes) != total:
+        raise ContractError(f"segment lengths {sizes} do not split {total} rows")
+    return sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _future_mask(size: int) -> np.ndarray:
+    """Additive size x size mask, 0 on and below the diagonal and -1e30 above
+    it; its top-left t x t block is the mask for t rows. Read-only."""
+    mask = np.triu(np.full((size, size), -1e30), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], n_heads: int) -> Tensor:
+    """Causal multi-head attention over a pack of sequences, as one op.
+
+    q, k and v are N x d: the rows of consecutive sequences of the given
+    lengths (summing to N). Head h reads columns h*d/n_heads up to
+    (h+1)*d/n_heads, scores are scaled by 1/sqrt(d/n_heads), and each row
+    attends to the rows of its own sequence up to and including itself.
+    Returns the heads' outputs side by side as N x d rows.
+
+    Inside, each sequence is padded with zero rows to the longest one (equal
+    lengths need only a reshape) and the scores of all sequences and heads
+    form one (B, n_heads, T, T) batch under an additive causal mask. The mask
+    alone keeps a real row off the padding, since padding only follows a
+    sequence's rows; padded rows are dropped on the way out and get zero
+    gradient. Non-finite scores or values raise NumericError.
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention expects equal N x d inputs, got {q.shape}/{k.shape}/{v.shape}")
+    n, d = q.shape
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"causal_attention: width {d} not divisible into {n_heads} heads")
+    sizes = _segment_sizes(lengths, n)
+    b, t, dh = len(sizes), max(sizes), d // n_heads
+    ragged = b * t != n
+    if ragged:
+        seg = np.repeat(np.arange(b), sizes)
+        pos = np.arange(n) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+
+    def heads(x):
+        """Packed rows -> (B, n_heads, T, d_head), zero past each sequence's end."""
+        if ragged:
+            padded = np.zeros((b, t, d), dtype=x.dtype)
+            padded[seg, pos] = x
+            x = padded
+        return x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def packed(x):
+        """(B, n_heads, T, d_head) -> packed rows, the heads side by side."""
+        rows = x.transpose(0, 2, 1, 3).reshape(b, t, d)
+        return rows[seg, pos] if ragged else rows.reshape(n, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scores *= c
+    if not (np.isfinite(scores).all() and np.isfinite(v.data).all()):
+        raise NumericError("causal attention over non-finite scores or values")
+    # softmax over the last axis, in place: these arrays are the op's largest.
+    # Masks come in power-of-two sizes, so few are ever built.
+    scores += _future_mask(1 << (t - 1).bit_length())[:t, :t]
+    scores -= scores.max(axis=-1, keepdims=True)
+    att = np.exp(scores, out=scores)
+    att /= att.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = heads(g)
+        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs -= (gs * att).sum(axis=-1, keepdims=True)
+        gs *= att
+        gs *= c
+        return (
+            packed(np.matmul(gs, kh)) if q.requires_grad else None,
+            packed(np.matmul(gs.transpose(0, 1, 3, 2), qh)) if k.requires_grad else None,
+            packed(np.matmul(att.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
+        )
+
+    return _op("causal_attention", (q, k, v), packed(np.matmul(att, vh)), bwd)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if x.data.ndim != 2:
@@ -284,8 +373,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _op("layer_norm", (x, gain, bias), xh * gain.data + bias.data, bwd)
 
 
-def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) -> Tensor:
-    """Mean negative log-softmax probability over masked-in positions."""
+def cross_entropy(
+    logits: Tensor, targets: Sequence[int], mask: Sequence[bool], lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Mean negative log-softmax probability over masked-in positions.
+
+    With lengths, the rows are a pack of consecutive segments of those lengths,
+    and the result is the mean over segments of each segment's masked mean.
+    """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects T x V logits, got {logits.shape}")
     t_len, vocab = logits.shape
@@ -293,6 +388,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) 
         raise ContractError(
             f"cross_entropy lengths disagree: logits {t_len}, targets {len(targets)}, mask {len(mask)}"
         )
+    sizes = _segment_sizes([t_len] if lengths is None else lengths, t_len)
     idx = [i for i, m in enumerate(mask) if m]
     if not idx:
         raise ContractError("cross_entropy mask selects no positions")
@@ -305,16 +401,24 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool]) 
     m = sel.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(sel - m).sum(axis=1))
     nll = lse - sel[np.arange(len(idx)), cols]
+    # the selected positions of each segment are one run of nll
+    cuts = np.searchsorted(rows, np.cumsum([0, *sizes]))
+    counts = np.diff(cuts)
+    if not counts.all():
+        raise ContractError(f"cross_entropy mask selects no position in segment {int(np.argmin(counts))}")
+    seg_means = [nll[a:b].mean() for a, b in zip(cuts[:-1], cuts[1:])]
+    # the divisor of each position in the mean over segments of segment means
+    denom = np.repeat(len(counts) * counts, counts)[:, None]
 
     def bwd(g):
         soft = np.exp(sel - m)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(len(idx)), cols] -= 1.0
         full = np.zeros_like(logits.data)
-        full[rows] = soft * (float(g) / len(idx))
+        full[rows] = soft * (float(g) / denom)
         return (full,)
 
-    return _op("cross_entropy", (logits,), nll.mean(), bwd)
+    return _op("cross_entropy", (logits,), np.mean(seg_means), bwd)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -356,21 +460,25 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _op("gather_rows", (table,), table.data[rows], bwd)
 
 
-def row_set(a: Tensor, idx: int, v: Tensor) -> Tensor:
-    """Copy of a with row idx replaced by the 1-D vector v."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[1]:
-        raise ShapeError(f"row_set shapes disagree: {a.shape} row <- {v.shape}")
-    if not 0 <= idx < a.shape[0]:
+def row_set(a: Tensor, idx: int | Sequence[int], v: Tensor) -> Tensor:
+    """Copy of a with row idx replaced by the 1-D vector v, or with the
+    distinct rows of an index list replaced by the rows of the 2-D v."""
+    rows = np.asarray(idx, dtype=np.intp)
+    if a.data.ndim != 2 or rows.ndim > 1 or v.shape != (*rows.shape, a.shape[1]):
+        raise ShapeError(f"row_set shapes disagree: {a.shape} row(s) {list(rows.reshape(-1))} <- {v.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
         raise ContractError(f"row index {idx} outside {a.shape[0]} rows")
+    if rows.ndim and len(set(rows.tolist())) != rows.size:
+        raise ContractError(f"row_set indices repeat: {list(rows)}")
     data = a.data.copy()
-    data[idx] = v.data
+    data[rows] = v.data
 
     def bwd(g):
         ga = None
         if a.requires_grad:
             ga = g.copy()
-            ga[idx] = 0.0
-        return (ga, g[idx].copy() if v.requires_grad else None)
+            ga[rows] = 0.0
+        return (ga, g[rows].copy() if v.requires_grad else None)
 
     return _op("row_set", (a, v), data, bwd)
 

@@ -2,16 +2,18 @@
 
 Every batch holds examples of a single task. Each example is rendered twice:
 a text-only prompt and a collaborative prompt whose placeholder rows carry
-the projected user/item vectors. The two answer-token cross-entropies are
-blended by a decaying weight so text competence is established before the
-collaborative path dominates, and the query-adapter orthogonality penalty is
-added on top. Each variant's row in VARIANTS names its fusion mode, adapter
+the projected user/item vectors. The batch's prompts of one form are packed
+end to end and go through the decoder in one pass. The two answer-token
+cross-entropies are blended by a decaying weight so text competence is
+established before the collaborative path dominates, and the query-adapter
+orthogonality penalty is added on top. Each variant's row in VARIANTS names its fusion mode, adapter
 bank layout and loss form.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -185,33 +187,52 @@ def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> 
 
 
 class CfRows(NamedTuple):
-    """Frozen CF inputs of one prompt: the user row, the history rows and one
-    row per item the prompt is read with."""
+    """Frozen CF inputs of one sequence: the user row, the user's history rows
+    and the row of the item the sequence is read with."""
 
     e_u: np.ndarray
     hist: np.ndarray
-    e_vs: list[np.ndarray]
+    e_v: np.ndarray
 
 
-def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int]) -> CfRows:
+def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int]) -> list[CfRows]:
+    """One CfRows per item, all with the example's user and history."""
     hist_rows = [corpus.item_index[h] for h in example.history]
     hist = cf.item_table[hist_rows] if hist_rows else np.zeros((0, cf.d_cf))
-    e_vs = [cf.lookup_item(corpus.item_index[v]) for v in items]
-    return CfRows(cf.lookup_user(corpus.user_index[example.user_id]), hist, e_vs)
+    e_u = cf.lookup_user(corpus.user_index[example.user_id])
+    return [CfRows(e_u, hist, cf.lookup_item(corpus.item_index[v])) for v in items]
 
 
-def embed(model: RecModel, seqs: list[list[int]], positions: PlaceholderPositions, rows: CfRows) -> list[Tensor]:
-    """Decoder inputs for sequences that share one prompt and one user.
+def map_users(model: RecModel, rows: Sequence[CfRows]) -> Tensor:
+    """The mapped user vectors of rows, one row each, from one map_user call."""
+    return model.fusion.map_user(np.stack([r.e_u for r in rows]), [r.hist for r in rows])
 
-    A plain prompt is a token-row gather. On a collaborative prompt the
-    placeholder rows carry the mapped CF vectors: the user vector is mapped
-    once, the item vector once per sequence, from rows.e_vs in order.
+
+def embed(
+    model: RecModel,
+    seqs: Sequence[list[int]],
+    positions: Sequence[PlaceholderPositions],
+    rows: Sequence[CfRows],
+    ep_u: Tensor | None = None,
+) -> Tensor:
+    """Decoder inputs for a pack: the embedding rows of seqs, one after another.
+
+    A plain pack is one token-row gather. In a collaborative pack each
+    sequence's placeholder rows, at positions[b], carry the mapped CF vectors
+    of rows[b]: one map_user call maps every user (unless ep_u holds them
+    mapped already, one row per sequence), one map_item call every item, and
+    one inject writes them in.
     """
     table = model.params["lm.token_table"]
-    if positions.user_pos is None:
-        return [nm.gather_rows(table, s) for s in seqs]
-    ep_u = model.fusion.map_user(rows.e_u, rows.hist)
-    return [fz.inject(s, positions, table, ep_u, model.fusion.map_item(e_v, rows.hist)) for s, e_v in zip(seqs, rows.e_vs)]
+    ids = [t for s in seqs for t in s]
+    if positions[0].user_pos is None:
+        return nm.gather_rows(table, ids)
+    starts = list(itertools.accumulate((len(s) for s in seqs[:-1]), initial=0))
+    ep_u = map_users(model, rows) if ep_u is None else ep_u
+    ep_v = model.fusion.map_item(np.stack([r.e_v for r in rows]), [r.hist for r in rows])
+    user_rows = [o + p.user_pos for o, p in zip(starts, positions)]
+    item_rows = [o + p.item_pos for o, p in zip(starts, positions)]
+    return fz.inject(ids, user_rows, item_rows, table, ep_u, ep_v)
 
 
 @dataclass
@@ -225,13 +246,17 @@ class Prepared:
 def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with_collab: bool) -> Prepared:
     plain = encode_prompt(example, corpus, inject_collab=False)
     collab = encode_prompt(example, corpus, inject_collab=True) if with_collab else None
-    return Prepared(example, plain, collab, cf_rows(example, corpus, cf, [example.candidate]))
+    (rows,) = cf_rows(example, corpus, cf, [example.candidate])
+    return Prepared(example, plain, collab, rows)
 
 
-def _example_loss(prep: Prepared, enc: Encoded, model: RecModel) -> Tensor:
-    (embs,) = embed(model, [enc.seq], enc.positions, prep.rows)
-    logits = lmmod.forward(embs, prep.example.task, model.params, model.bank, model.lm_cfg)
-    return nm.cross_entropy(logits, enc.targets, enc.mask)
+def pack_loss(model: RecModel, task: str, encs: Sequence[Encoded], rows: Sequence[CfRows]) -> Tensor:
+    """Mean over the sequences of each one's masked answer-token loss, from
+    one decoder pass over their pack."""
+    embs = embed(model, [e.seq for e in encs], [e.positions for e in encs], rows)
+    lengths = [len(e.seq) for e in encs]
+    logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, lengths)
+    return nm.cross_entropy(logits, [t for e in encs for t in e.targets], [m for e in encs for m in e.mask], lengths)
 
 
 def batch_loss(
@@ -242,7 +267,8 @@ def batch_loss(
     lambda_orth: float,
     beta_value: float | None = None,
 ) -> tuple[Tensor, dict]:
-    """Weighted dual-prompt loss for one task-homogeneous batch.
+    """Weighted dual-prompt loss for one task-homogeneous batch, with one
+    packed decoder pass per prompt form.
 
     Returns the scalar loss tensor plus a component log with the beta weight
     and the per-term values.
@@ -253,12 +279,12 @@ def batch_loss(
     if any(p.example.task != task for p in batch):
         raise ContractError("batch mixes tasks")
     form = VARIANTS[model.variant].loss
-    inv = 1.0 / len(batch)
+    rows = [p.rows for p in batch]
     loss_t1 = loss_t2 = None
     if form != "collab-only":
-        loss_t1 = nm.scale(nm.add_n([_example_loss(p, p.plain, model) for p in batch]), inv)
+        loss_t1 = pack_loss(model, task, [p.plain for p in batch], rows)
     if form != "text-only":
-        loss_t2 = nm.scale(nm.add_n([_example_loss(p, p.collab, model) for p in batch]), inv)
+        loss_t2 = pack_loss(model, task, [p.collab for p in batch], rows)
     orth = lmmod.orth_loss(model.bank)
     if form == "text-only":
         total = loss_t1
@@ -304,8 +330,8 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
     Sequences cover both prompt renderings: the text-only form and the
     collaborative form with its placeholder markers embedded as ordinary
     vocab tokens (no injection), so neither wording is foreign to the frozen
-    backbone later. All positions are supervised; the backbone is frozen
-    afterwards.
+    backbone later. Each step is one packed pass over batch_size sequences.
+    All positions are supervised; the backbone is frozen afterwards.
     """
     backbone = {n: t for n, t in model.params.items() if t.requires_grad}
     if not backbone:
@@ -319,14 +345,14 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
     rng = SplitMix64(cfg.seed).fork(11)
     silent_bank = MultiLoraBank(model.lm_cfg, model.tasks, "none", np.random.default_rng(0))
     for _ in range(cfg.pretrain_steps):
-        batch = [sequences[rng.randbelow(len(sequences))] for _ in range(cfg.batch_size)]
+        tasks, seqs, targets = zip(*(sequences[rng.randbelow(len(sequences))] for _ in range(cfg.batch_size)))
+        lengths = [len(seq) for seq in seqs]
+        flat_targets = [t for seq_targets in targets for t in seq_targets]
         with nm.Tape() as tape:
-            losses = []
-            for task, seq, targets in batch:
-                embs = nm.gather_rows(model.params["lm.token_table"], seq)
-                logits = lmmod.forward(embs, task, model.params, silent_bank, model.lm_cfg)
-                losses.append(nm.cross_entropy(logits, targets, [True] * len(seq)))
-            loss = nm.scale(nm.add_n(losses), 1.0 / len(losses))
+            embs = nm.gather_rows(model.params["lm.token_table"], [t for seq in seqs for t in seq])
+            # a bank without adapters reads the same weights for every task
+            logits = lmmod.forward(embs, tasks[0], model.params, silent_bank, model.lm_cfg, lengths)
+            loss = nm.cross_entropy(logits, flat_targets, [True] * len(flat_targets), lengths)
             grads = nm.backward(loss, tape)
         opt.step({n: nm.grad_of(grads, t) for n, t in backbone.items()})
     lmmod.freeze_backbone(model.params)
@@ -434,22 +460,26 @@ def train(
                 parts["step"] = step
                 result.log.append(parts)
                 step += 1
-        result.valid_losses.append(_validation_loss(model, valid_pools))
+        result.valid_losses.append(_validation_loss(model, valid_pools, cfg.batch_size))
     result.steps = step
     result.prng_state = stream.state
     return result
 
 
-def _validation_loss(model: RecModel, valid_pools: dict[str, list[Prepared]]) -> float:
+def _validation_loss(model: RecModel, valid_pools: dict[str, list[Prepared]], batch_size: int) -> float:
     """Mean main-prompt loss over the validation pool (text prompt for the
-    no-collaboration variant, collaborative prompt otherwise)."""
+    no-collaboration variant, collaborative prompt otherwise), one packed pass
+    per batch_size examples of a task."""
     collab = model.uses_collab_prompt()
-    losses = [
-        _example_loss(p, p.collab if collab else p.plain, model).item()
-        for task in model.tasks
-        for p in valid_pools.get(task, [])
-    ]
-    return sum(losses) / len(losses) if losses else float("nan")
+    total, count = 0.0, 0
+    for task in model.tasks:
+        pool = valid_pools.get(task, [])
+        for i in range(0, len(pool), batch_size):
+            chunk = pool[i : i + batch_size]
+            encs = [p.collab if collab else p.plain for p in chunk]
+            total += pack_loss(model, task, encs, [p.rows for p in chunk]).item() * len(chunk)
+            count += len(chunk)
+    return total / count if count else float("nan")
 
 
 # ---------------------------------------------------------------------------

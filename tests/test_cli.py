@@ -73,6 +73,36 @@ class TestCheckpointContainer:
                 ckpt.load_tensors(str(cut))
 
 
+class TestAtomicWrites:
+    def test_write_that_raises_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old contents\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with ckpt.atomic_open(str(path)) as fh:
+                fh.write("half of the new")
+                raise RuntimeError("died mid-write")
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_checkpoint_save_keeps_previous_checkpoint(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        ckpt.save_tensors(path, {"a.vec": np.arange(3.0)})
+        before = open(path, "rb").read()
+        # the second tensor's dtype is rejected after the first is written
+        with pytest.raises(ckpt.CheckpointError, match="dtype"):
+            ckpt.save_tensors(path, {"a.vec": np.arange(4.0), "b.ids": np.arange(2)})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_completed_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("stale\n", encoding="utf-8")
+        with ckpt.atomic_open(str(path)) as fh:
+            fh.write("fresh\n")
+        assert path.read_text(encoding="utf-8") == "fresh\n"
+        assert os.listdir(tmp_path) == ["vocab.txt"]
+
+
 class TestConfig:
     def test_defaults_validate(self):
         cfg = load_config(None)

@@ -5,7 +5,6 @@ import pytest
 
 from fuserec import fusion as fz
 from fuserec import numerics as nm
-from fuserec.corpus import PlaceholderPositions
 from fuserec.numerics import ContractError, Tensor
 
 
@@ -62,22 +61,22 @@ class TestGenerateMapping:
         const = rng.normal(size=12)
         net.w2 = Tensor(np.zeros((5, 12)), requires_grad=True)
         net.b2 = Tensor(const.copy(), requires_grad=True)
-        w1 = fz.generate_mapping(rng.normal(size=3), net)
-        w2 = fz.generate_mapping(rng.normal(size=3), net)
-        assert np.array_equal(w1.data, const.reshape(3, 4))
+        w1 = fz.generate_mapping(rng.normal(size=(1, 3)), net)
+        w2 = fz.generate_mapping(rng.normal(size=(1, 3)), net)
+        assert np.array_equal(w1.data, const.reshape(1, 12))
         assert np.array_equal(w1.data, w2.data)
 
     def test_distinct_inputs_distinct_mappings(self):
         rng = np.random.default_rng(3)
         net = fz.MetaNetwork(4, 6, 8, rng, "user_meta")
-        a = fz.generate_mapping(rng.normal(size=4), net)
-        b = fz.generate_mapping(rng.normal(size=4), net)
+        a = fz.generate_mapping(rng.normal(size=(1, 4)), net)
+        b = fz.generate_mapping(rng.normal(size=(1, 4)), net)
         assert not np.array_equal(a.data, b.data)
 
     def test_gradients_into_generator(self):
         rng = np.random.default_rng(4)
         net = fz.MetaNetwork(3, 4, 5, rng, "user_meta")
-        pooled = rng.normal(size=3)
+        pooled = rng.normal(size=(2, 3))
 
         def norm_sq(_):
             w = fz.generate_mapping(pooled, net)
@@ -89,22 +88,22 @@ class TestGenerateMapping:
     def test_output_reshapes_to_d_cf_by_d_llm(self):
         rng = np.random.default_rng(5)
         net = fz.MetaNetwork(6, 9, 4, rng, "item_meta")
-        w = fz.generate_mapping(rng.normal(size=6), net)
-        assert w.shape == (6, 9)
+        w = fz.generate_mapping(rng.normal(size=(2, 6)), net)
+        assert w.shape == (2, 6 * 9)  # one flattened d_cf x d_llm mapping per row
 
 
 class TestProject:
     def test_identity_mapping(self):
         e = np.array([1.0, -2.0, 0.5])
-        out = fz.project(e, Tensor(np.eye(3)))
+        out = fz.project(e.reshape(1, 3), Tensor(np.eye(3).reshape(1, 9)))
         assert np.array_equal(out.data, e.reshape(1, 3))
 
     def test_hand_product(self):
-        out = fz.project(np.array([1.0, 2.0]), Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+        out = fz.project(np.array([[1.0, 2.0]]), Tensor([[1.0, 0.0, 0.0, 0.0, 1.0, 1.0]]))
         assert np.array_equal(out.data, [[1.0, 2.0, 2.0]])
 
     def test_zero_mapping_annihilates(self):
-        out = fz.project(np.array([3.0, 4.0]), Tensor(np.zeros((2, 5))))
+        out = fz.project(np.array([[3.0, 4.0]]), Tensor(np.zeros((1, 10))))
         assert np.array_equal(out.data, np.zeros((1, 5)))
 
 
@@ -114,18 +113,18 @@ class TestGenericMap:
         mapper = fz.GenericMapper(3, 4, rng, "shared_map")
         mapper.w = Tensor(np.zeros((3, 4)), requires_grad=True)
         mapper.b = Tensor(np.zeros(4), requires_grad=True)
-        assert np.array_equal(fz.generic_map(rng.normal(size=3), mapper).data, np.zeros((1, 4)))
+        assert np.array_equal(fz.generic_map(rng.normal(size=(1, 3)), mapper).data, np.zeros((1, 4)))
 
     def test_shared_mode_maps_equal_inputs_equally(self):
         rng = np.random.default_rng(7)
         fusion = fz.GenericFusion(3, 4, rng, shared=True)
-        e = rng.normal(size=3)
+        e = rng.normal(size=(1, 3))
         assert np.array_equal(fusion.map_user(e, None).data, fusion.map_item(e, None).data)
 
     def test_two_linear_mode_maps_equal_inputs_differently(self):
         rng = np.random.default_rng(8)
         fusion = fz.GenericFusion(3, 4, rng, shared=False)
-        e = rng.normal(size=3)
+        e = rng.normal(size=(1, 3))
         assert not np.array_equal(fusion.map_user(e, None).data, fusion.map_item(e, None).data)
 
 
@@ -136,13 +135,13 @@ class TestInject:
         self.ids = [1, 5, 2, 7, 3, 9]
 
     def test_plain_lookup_without_placeholders(self):
-        out = fz.inject(self.ids, PlaceholderPositions(None, None), self.table, None, None)
+        out = fz.inject(self.ids, [], [], self.table, None, None)
         assert np.array_equal(out.data, self.table.data[self.ids])
 
     def test_placeholder_rows_replaced_exactly(self):
         ep_u = Tensor(np.full((1, 4), 2.0))
         ep_v = Tensor(np.full((1, 4), -3.0))
-        out = fz.inject(self.ids, PlaceholderPositions(1, 4), self.table, ep_u, ep_v)
+        out = fz.inject(self.ids, [1], [4], self.table, ep_u, ep_v)
         assert np.array_equal(out.data[1], ep_u.data[0])
         assert np.array_equal(out.data[4], ep_v.data[0])
         others = [0, 2, 3, 5]
@@ -150,20 +149,20 @@ class TestInject:
 
     def test_position_vector_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            fz.inject(self.ids, PlaceholderPositions(1, None), self.table, Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+            fz.inject(self.ids, [1], [], self.table, Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
         with pytest.raises(ContractError):
-            fz.inject(self.ids, PlaceholderPositions(1, 4), self.table, Tensor(np.zeros((1, 4))), None)
+            fz.inject(self.ids, [1], [4], self.table, Tensor(np.zeros((1, 4))), None)
 
     def test_user_perturbation_touches_only_user_row(self):
         rng = np.random.default_rng(10)
         net = fz.MetaNetwork(3, 4, 5, rng, "user_meta")
-        e_u = rng.normal(size=3)
+        e_u = rng.normal(size=(1, 3))
         base_map = fz.generate_mapping(e_u, net)
         ep_v = Tensor(rng.normal(size=(1, 4)))
 
         def sequence(e):
             ep_u = fz.project(e, fz.generate_mapping(e, net))
-            return fz.inject(self.ids, PlaceholderPositions(1, 4), self.table, ep_u, ep_v).data
+            return fz.inject(self.ids, [1], [4], self.table, ep_u, ep_v).data
 
         base = sequence(e_u)
         bumped = sequence(e_u + 1e-3)
@@ -184,9 +183,9 @@ class TestComposition:
         probe = Tensor(rng.normal(size=(4, 1)))
 
         def scalar(_):
-            w = fz.generate_mapping(pooled, net)
-            ep = fz.project(e_u, w)
-            emb = fz.inject([0, 3, 5], PlaceholderPositions(1, None), table, ep, None)
+            w = fz.generate_mapping(pooled.reshape(1, 3), net)
+            ep = fz.project(e_u.reshape(1, 3), w)
+            emb = fz.inject([0, 3, 5], [1], [], table, ep, None)
             return nm.tsum(nm.matmul(emb, probe))
 
         for param in (net.w1, net.b1, net.w2, net.b2):
@@ -218,12 +217,60 @@ class TestVariantStructure:
         fusion = fz.NoFusion()
         assert fusion.named_parameters() == {}
         with pytest.raises(ContractError):
-            fusion.map_user(np.zeros(3), None)
+            fusion.map_user(np.zeros((1, 3)), None)
 
     def test_cold_history_falls_back_to_self_pool(self):
         rng = np.random.default_rng(14)
         fusion = fz.PersonalizedFusion(3, 4, 5, rng)
-        e_u = rng.normal(size=3)
+        e_u = rng.normal(size=(1, 3))
         empty = np.zeros((0, 3))
         direct = fz.project(e_u, fz.generate_mapping(e_u, fusion.user_net))
-        assert np.array_equal(fusion.map_user(e_u, empty).data, direct.data)
+        assert np.array_equal(fusion.map_user(e_u, [empty]).data, direct.data)
+
+
+class TestBatchedRows:
+    """B rows in one call give each row what a one-row call gives it."""
+
+    def test_personalized_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(15)
+        fusion = fz.PersonalizedFusion(3, 4, 5, rng)
+        for net in (fusion.user_net, fusion.item_net):
+            net.w2 = Tensor(rng.normal(size=net.w2.shape), requires_grad=True)
+        e = rng.normal(size=(4, 3))
+        histories = [rng.normal(size=(2, 3)), np.zeros((0, 3)), rng.normal(size=(5, 3)), rng.normal(size=(1, 3))]
+        for mapper in (fusion.map_user, fusion.map_item):
+            batched = mapper(e, histories).data
+            for b in range(4):
+                one = mapper(e[b : b + 1], histories[b : b + 1]).data
+                assert np.abs(batched[b] - one[0]).max() < 1e-12
+
+    def test_project_matches_vector_matrix_products(self):
+        rng = np.random.default_rng(16)
+        e = rng.normal(size=(3, 4))
+        maps = rng.normal(size=(3, 4, 6))
+        out = fz.project(e, Tensor(maps.reshape(3, 24))).data
+        for b in range(3):
+            assert np.abs(out[b] - e[b] @ maps[b]).max() < 1e-12
+
+    def test_generic_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(17)
+        fusion = fz.GenericFusion(3, 4, rng, shared=False)
+        e = rng.normal(size=(3, 3))
+        batched = fusion.map_item(e, None).data
+        for b in range(3):
+            assert np.abs(batched[b] - fusion.map_item(e[b : b + 1], None).data[0]).max() < 1e-12
+
+    def test_history_count_must_match_rows(self):
+        fusion = fz.PersonalizedFusion(3, 4, 5, np.random.default_rng(18))
+        with pytest.raises(ContractError):
+            fusion.map_user(np.zeros((2, 3)), [np.zeros((0, 3))])
+
+    def test_inject_writes_every_row_of_a_pack(self):
+        rng = np.random.default_rng(19)
+        table = Tensor(rng.normal(size=(12, 4)))
+        ids = [1, 5, 2, 7, 3, 9, 4]
+        ep_u, ep_v = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))
+        out = fz.inject(ids, [0, 4], [2, 6], table, ep_u, ep_v).data
+        assert np.array_equal(out[[0, 4]], ep_u.data)
+        assert np.array_equal(out[[2, 6]], ep_v.data)
+        assert np.array_equal(out[[1, 3, 5]], table.data[[5, 7, 9]])

@@ -266,6 +266,50 @@ class TestForward:
             lmmod.forward(embed(rng, cfg, 5), "RP", params, bank, cfg)
 
 
+class TestPacking:
+    LENGTHS = [5, 1, 7, 3]
+
+    def setup_method(self):
+        self.cfg = tiny_cfg(max_len=8)
+        rng = np.random.default_rng(15)
+        self.params = lmmod.init_backbone(self.cfg, rng)
+        self.bank = MultiLoraBank(self.cfg, TASKS4, "multi-lora", rng)
+        for ad in self.bank._adapters.values():  # non-zero deltas, so the adapters take part
+            ad.B = Tensor(rng.normal(0.0, 0.1, size=ad.B.shape), requires_grad=True)
+        self.x = rng.normal(size=(sum(self.LENGTHS), self.cfg.d_model))
+
+    def forward(self, x, lengths=None):
+        return lmmod.forward(Tensor(x), "CTR", self.params, self.bank, self.cfg, lengths).data
+
+    def test_packed_rows_equal_per_sequence_passes(self):
+        packed = self.forward(self.x, self.LENGTHS)
+        start = 0
+        for t_len in self.LENGTHS:
+            alone = self.forward(self.x[start : start + t_len])
+            assert np.abs(packed[start : start + t_len] - alone).max() < 1e-12
+            start += t_len
+
+    def test_bumping_sequence_zero_leaves_the_others_bit_identical(self):
+        base = self.forward(self.x, self.LENGTHS)
+        first = self.LENGTHS[0]
+        for row in range(first):
+            bumped = self.x.copy()
+            bumped[row] += 0.25
+            out = self.forward(bumped, self.LENGTHS)
+            assert np.array_equal(out[first:], base[first:])
+            assert np.abs(out[row] - base[row]).max() > 0.0
+
+    def test_max_len_applies_to_each_sequence_not_the_pack(self):
+        assert sum(self.LENGTHS) > self.cfg.max_len
+        assert self.forward(self.x, self.LENGTHS).shape == (sum(self.LENGTHS), self.cfg.vocab_size)
+        with pytest.raises(ContractError, match="sequence of 9 exceeds max length 8"):
+            self.forward(self.x, [5, 9, 2])
+
+    def test_lengths_must_cover_the_rows(self):
+        with pytest.raises(ContractError):
+            self.forward(self.x, [5, 1, 7])
+
+
 class TestTrainableParams:
     def test_frozen_backbone_counts_zero(self):
         cfg = tiny_cfg()

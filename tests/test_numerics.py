@@ -144,6 +144,113 @@ class TestCrossEntropy:
         logits = Tensor(rng.normal(size=(3, 5)))
         assert fd(lambda t: nm.cross_entropy(t, [1, 0, 4], [True, False, True]), logits) < 1e-5
 
+    def test_lengths_give_mean_of_segment_calls(self):
+        rng = np.random.default_rng(26)
+        lengths = [2, 4, 1, 3]
+        logits = rng.normal(size=(10, 6))
+        targets = list(rng.integers(0, 6, size=10))
+        mask = [True, False, False, True, True, False, True, True, False, True]
+        packed = nm.cross_entropy(Tensor(logits), targets, mask, lengths).item()
+        singles, start = [], 0
+        for t_len in lengths:
+            rows = slice(start, start + t_len)
+            singles.append(nm.cross_entropy(Tensor(logits[rows]), targets[rows], mask[rows]).item())
+            start += t_len
+        assert abs(packed - np.mean(singles)) < 1e-12
+        assert fd(lambda t: nm.cross_entropy(t, targets, mask, lengths), Tensor(logits)) < 1e-5
+
+    def test_lengths_checked(self):
+        logits = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ContractError):
+            nm.cross_entropy(logits, [0, 1, 2], [True, True, True], [1, 1])
+        with pytest.raises(ContractError, match="segment 1"):
+            nm.cross_entropy(logits, [0, 1, 2], [True, False, True], [1, 1, 1])
+
+
+def _attention_by_loops(q, k, v, lengths, n_heads):
+    """Reference: every sequence and head on its own, in plain numpy."""
+    d_head = q.shape[1] // n_heads
+    out = np.zeros_like(q)
+    start = 0
+    for t_len in lengths:
+        rows = slice(start, start + t_len)
+        for h in range(n_heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            scores = q[rows, cols] @ k[rows, cols].T / math.sqrt(d_head)
+            scores[np.triu(np.ones((t_len, t_len), dtype=bool), k=1)] = -np.inf
+            att = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[rows, cols] = (att / att.sum(axis=1, keepdims=True)) @ v[rows, cols]
+        start += t_len
+    return out
+
+
+class TestCausalAttention:
+    LENGTHS = [1, 4, 3]
+
+    def inputs(self, seed, d=4):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=(sum(self.LENGTHS), d))) for _ in range(3)]
+
+    def test_matches_per_sequence_per_head_loops(self):
+        q, k, v = self.inputs(20, d=6)
+        # ragged lengths are padded; equal lengths and a single sequence are reshaped
+        for lengths in (self.LENGTHS, [4, 4], [8]):
+            for n_heads in (1, 2, 3):
+                got = nm.causal_attention(q, k, v, lengths, n_heads).data
+                want = _attention_by_loops(q.data, k.data, v.data, lengths, n_heads)
+                assert np.abs(got - want).max() < 1e-12
+
+    def test_grads_match_finite_differences_over_ragged_lengths(self):
+        q, k, v = self.inputs(21)
+        probe = Tensor(np.random.default_rng(22).normal(size=(4, 1)))
+
+        def scalar(q_, k_, v_):
+            out = nm.causal_attention(q_, k_, v_, self.LENGTHS, 2)
+            return nm.tsum(nm.mul(nm.matmul(out, probe), nm.matmul(out, probe)))
+
+        assert fd(lambda t: scalar(t, k, v), q) < 1e-5
+        assert fd(lambda t: scalar(q, t, v), k) < 1e-5
+        assert fd(lambda t: scalar(q, k, t), v) < 1e-5
+
+    def test_grads_match_finite_differences_over_equal_lengths(self):
+        q, k, v = self.inputs(27)
+        probe = Tensor(np.random.default_rng(28).normal(size=(4, 1)))
+
+        def scalar(q_, k_, v_):
+            out = nm.causal_attention(q_, k_, v_, [4, 4], 2)
+            return nm.tsum(nm.mul(nm.matmul(out, probe), nm.matmul(out, probe)))
+
+        assert fd(lambda t: scalar(t, k, v), q) < 1e-5
+        assert fd(lambda t: scalar(q, t, v), k) < 1e-5
+        assert fd(lambda t: scalar(q, k, t), v) < 1e-5
+
+    def test_sequences_do_not_see_each_other(self):
+        q, k, v = self.inputs(23)
+        base = nm.causal_attention(q, k, v, self.LENGTHS, 2).data
+        bumped = [t.data.copy() for t in (q, k, v)]
+        for arr in bumped:
+            arr[1] += 0.5  # the first row of the second sequence
+        out = nm.causal_attention(*(Tensor(a) for a in bumped), self.LENGTHS, 2).data
+        assert np.array_equal(out[[0, 5, 6, 7]], base[[0, 5, 6, 7]])
+        assert np.abs(out[1:5] - base[1:5]).max(axis=1).min() > 0.0
+
+    def test_non_finite_input_raises(self):
+        for which in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                q, k, v = self.inputs(24)
+                (q, k, v)[which].data[2, 1] = bad
+                with pytest.raises(NumericError):
+                    nm.causal_attention(q, k, v, self.LENGTHS, 2)
+
+    def test_lengths_and_heads_checked(self):
+        q, k, v = self.inputs(25)
+        with pytest.raises(ContractError):
+            nm.causal_attention(q, k, v, [4, 3], 2)
+        with pytest.raises(ContractError):
+            nm.causal_attention(q, k, v, [0, 5, 3], 2)
+        with pytest.raises(ShapeError):
+            nm.causal_attention(q, k, v, self.LENGTHS, 3)
+
 
 class TestBackward:
     def test_square_gradient(self):
@@ -234,6 +341,28 @@ class TestElementwiseOps:
 
         assert fd(through_vec, vec) < 1e-5
 
+    def test_row_set_index_list(self):
+        rng = np.random.default_rng(15)
+        base = Tensor(rng.normal(size=(5, 3)))
+        rows = Tensor(rng.normal(size=(2, 3)))
+        out = nm.row_set(base, [3, 0], rows).data
+        assert np.array_equal(out[[3, 0]], rows.data)
+        assert np.array_equal(out[[1, 2, 4]], base.data[[1, 2, 4]])
+        probe = Tensor(rng.normal(size=(3, 1)))
+
+        def scalar(a, v):
+            out = nm.matmul(nm.row_set(a, [3, 0], v), probe)
+            return nm.tsum(nm.mul(out, out))
+
+        assert fd(lambda v: scalar(base, v), rows) < 1e-5
+        assert fd(lambda a: scalar(a, rows), base) < 1e-5
+        with pytest.raises(ContractError):
+            nm.row_set(base, [1, 1], rows)
+        with pytest.raises(ContractError):
+            nm.row_set(base, [1, 5], rows)
+        with pytest.raises(ShapeError):
+            nm.row_set(base, [1], rows)
+
     def test_slice_concat_round_trip(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(4, 6)))
@@ -275,6 +404,7 @@ RECORDED_OPS = [
     ("row_set", "row_set", [(2, 3), (3,)], lambda op, a, v: op(a, 1, v)),
     ("slice_cols", "slice_cols", [(2, 3)], lambda op, a: op(a, 1, 3)),
     ("concat_cols", "concat_cols", [(2, 3), (2, 1)], lambda op, *ts: op(ts)),
+    ("causal_attention", "causal_attention", [(4, 4), (4, 4), (4, 4)], lambda op, q, k, v: op(q, k, v, [1, 3], 2)),
 ]
 
 

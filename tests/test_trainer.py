@@ -192,6 +192,45 @@ class TestBatchLoss:
         assert worst < 1e-4
 
 
+class TestPackedBatch:
+    """One packed pass per prompt form gives what one pass per example gives."""
+
+    @pytest.mark.parametrize("variant", ["CKF", "NCK", "NEN"])
+    def test_batch_loss_is_the_mean_of_example_losses(self, world, variant):
+        model, batch = make_batch(world, "TopK", variant=variant, n=5)
+        rng = np.random.default_rng(40)
+        for _name, param in sorted(model.trainable().items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+        sched = BetaSchedule(total_steps=10)
+        _total, packed = batch_loss(batch, model, 3, sched, 1.0, beta_value=0.3)
+        singles = [batch_loss([p], model, 3, sched, 1.0, beta_value=0.3)[1] for p in batch]
+        for key in ("loss_t1", "loss_t2", "total"):
+            if packed[key] is None:
+                assert all(one[key] is None for one in singles)
+                continue
+            assert abs(packed[key] - np.mean([one[key] for one in singles])) < 1e-12
+
+    def test_batch_gradients_are_the_mean_of_example_gradients(self, world):
+        model, batch = make_batch(world, "CTR", n=4)
+        rng = np.random.default_rng(41)
+        trainable = model.trainable()
+        for _name, param in sorted(trainable.items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+        sched = BetaSchedule(total_steps=10)
+
+        def grads_of(examples):
+            with nm.Tape() as tape:
+                total, _ = batch_loss(examples, model, 3, sched, 1.0)
+                grads = nm.backward(total, tape)
+            return {n: nm.grad_of(grads, t) for n, t in trainable.items()}
+
+        packed = grads_of(batch)
+        singles = [grads_of([p]) for p in batch]
+        for name in trainable:
+            mean = np.mean([one[name] for one in singles], axis=0)
+            assert np.abs(packed[name] - mean).max() < 1e-12, name
+
+
 class TestVariantDispatch:
     MATRIX = {
         "CKF": ("personalized", "multi-lora", "curriculum"),
