@@ -139,22 +139,26 @@ def train_cf(
     for u, v, _r in events:
         user_items.setdefault(u, set()).add(v)
     seqs = _histories(train)
-    hist_of: dict[tuple[int, int], list[int]] = {}
+    # per event: the user's items strictly before it, most recent last
+    hist_of: list[list[int]] = []
     if cfg.backend == "SeqAttn":
         for it in train:
-            u = user_index[it.user_id]
             prior = [item_index[v] for (t, v) in seqs[it.user_id] if t < it.timestamp]
-            hist_of[(u, item_index[it.item_id])] = prior[-cfg.history_limit :]
+            hist_of.append(prior[-cfg.history_limit :])
 
-    def score_batch(us: list[int], vs: list[int]) -> Tensor:
+    def score_batch(us: list[int], vs: list[int], picked: list[int], owners: list[int]) -> Tensor:
+        """Scores of the (us[i], vs[i]) pairs. The first len(picked) pairs are
+        the positives, events picked[j]; with SeqAttn, pair i also reads the
+        history pooled for positive owners[i], so a sampled negative reads
+        the history of the positive it was drawn for."""
         eu = nm.gather_rows(user_t, us)
         ev = nm.gather_rows(item_t, vs)
         base = nm.tsum(nm.mul(eu, ev), axis=1)
         if cfg.backend == "MF":
             return base
         pooled_rows = []
-        for u, v in zip(us, vs):
-            hist = hist_of.get((u, v), [])
+        for u, event in zip(us, picked):
+            hist = hist_of[event]
             eu_row = nm.gather_rows(user_t, [u])
             if not hist:
                 pooled_rows.append(eu_row)
@@ -164,8 +168,8 @@ def train_cf(
             alpha = nm.softmax(logits, axis=1)
             pooled_rows.append(nm.matmul(alpha, hmat))
         stacked = nm.concat_cols([nm.transpose(r) for r in pooled_rows])  # d x B
-        pooled_mat = nm.transpose(stacked)  # B x d
-        return nm.add(base, nm.tsum(nm.mul(pooled_mat, ev), axis=1))
+        pooled = nm.gather_rows(nm.transpose(stacked), owners)  # one row per pair
+        return nm.add(base, nm.tsum(nm.mul(pooled, ev), axis=1))
 
     epoch_losses: list[float] = []
     for _epoch in range(cfg.epochs):
@@ -173,12 +177,14 @@ def train_cf(
         rng.shuffle(order)
         total, batches = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
-            chunk = [events[i] for i in order[start : start + cfg.batch_size]]
+            picked = order[start : start + cfg.batch_size]
+            chunk = [events[i] for i in picked]
             us = [u for u, _v, _r in chunk]
             vs = [v for _u, v, _r in chunk]
+            owners = list(range(len(chunk)))
             if cfg.objective == "implicit-bce":
                 labels = [1.0] * len(chunk)
-                for u, v, _r in chunk:
+                for j, (u, v, _r) in enumerate(chunk):
                     owned = user_items[u]
                     for _ in range(cfg.negatives_per_positive):
                         neg = rng.randbelow(n_items)
@@ -188,12 +194,13 @@ def train_cf(
                             guard += 1
                         us.append(u)
                         vs.append(neg)
+                        owners.append(j)
                         labels.append(0.0)
                 y = np.asarray(labels)
             else:
                 y = np.asarray([float(r) for _u, _v, r in chunk])
             with nm.Tape() as tape:
-                s = score_batch(us, vs)
+                s = score_batch(us, vs, picked, owners)
                 if cfg.objective == "implicit-bce":
                     # bce(sigmoid(s), y) == softplus(s) - y * s
                     loss = nm.tmean(nm.sub(nm.softplus(s), nm.mul(Tensor(y), s)))

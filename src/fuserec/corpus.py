@@ -306,9 +306,7 @@ class Corpus:
         return {it.item_id for it in self.by_user.get(user_id, ())}
 
 
-def build_corpus(
-    parsed: ParseResult, spec: SplitSpec, history_limit: int = 10, template_texts: tuple[str, ...] | None = None
-) -> Corpus:
+def build_corpus(parsed: ParseResult, spec: SplitSpec, history_limit: int = 10) -> Corpus:
     filtered = k_core_filter(parsed.interactions, spec.k_core, spec.k_core_iterative)
     if not filtered:
         raise CorpusError("no interactions survive filtering")
@@ -319,7 +317,7 @@ def build_corpus(
     catalog = {v: t for v, t in parsed.catalog.items() if v in kept_items}
     texts = [t for t in catalog.values()]
     texts.extend(it.comment for it in kept if it.comment is not None)
-    texts.extend(template_texts if template_texts is not None else TEMPLATE_TEXTS)
+    texts.extend(TEMPLATE_TEXTS)
     vocab = Vocab.build(texts)
     return Corpus(kept, catalog, split, spec, vocab, history_limit)
 
@@ -577,17 +575,27 @@ def locate_placeholders(ids: list[int], vocab: Vocab, expected: bool) -> Placeho
 # persistence
 # ---------------------------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n"}
+# a line of a corpus file holds no tab inside a field and no line break
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {esc[1]: raw for raw, esc in _ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _escape(text: str) -> str:
-    for raw, esc in _ESCAPES.items():
-        text = text.replace(raw, esc)
-    return text
+    return text.translate(_ESCAPE_TABLE)
 
 
 def _unescape(text: str) -> str:
-    return text.replace("\\n", "\n").replace("\\t", "\t").replace("\\\\", "\\")
+    """The text _escape was given, read in one pass; a backslash that does not
+    start one of its escapes is a ValueError."""
+
+    def undo(match: re.Match) -> str:
+        if match.group(1) not in _UNESCAPES:
+            raise ValueError(f"unknown escape {match.group(0)!r}")
+        return _UNESCAPES[match.group(1)]
+
+    return _ESCAPE_SEQ.sub(undo, text)
 
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:

@@ -185,17 +185,16 @@ def evaluate_model(
     corpus: Corpus,
     cf: CfEmbeddings,
     tasks: tuple[str, ...] | None = None,
-    split_name: str = "test",
     n_neg: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Metrics for every requested task on one split, plus the GAR baseline."""
+    """Metrics for every requested task on the test split, plus the GAR baseline."""
     tasks = tuple(tasks) if tasks else model.tasks
-    report: dict = {"split": split_name, "seed": seed, "n_neg": n_neg, "tasks": {}}
+    report: dict = {"split": "test", "seed": seed, "n_neg": n_neg, "tasks": {}}
     gar = GarBaseline([it.rating for it in corpus.split.train]) if corpus.split.train else None
     for task in tasks:
         if task in ("RP", "Explain"):
-            examples = build_examples(corpus, task, split_name, n_neg=n_neg, seed=seed)
+            examples = build_examples(corpus, task, "test", n_neg=n_neg, seed=seed)
             preds = [
                 predict_rating(answer_distribution(model, corpus, cf, ex, RATING_ANSWERS)) for ex in examples
             ]
@@ -207,7 +206,7 @@ def evaluate_model(
                 entry["gar_mae"], entry["gar_mse"] = gmae, gmse
             report["tasks"][task] = entry
         elif task == "CTR":
-            examples = build_examples(corpus, task, split_name, n_neg=n_neg, seed=seed)
+            examples = build_examples(corpus, task, "test", n_neg=n_neg, seed=seed)
             scores, labels = [], []
             per_user: dict[int, tuple[list, list]] = {}
             for ex in examples:
@@ -225,7 +224,7 @@ def evaluate_model(
         elif task == "TopK":
             entry = {}
             for flavor, sampler in (("easy", None), ("hard", cf_sampler(corpus, cf))):
-                examples = build_examples(corpus, task, split_name, n_neg=n_neg, hard_sampler=sampler, seed=seed)
+                examples = build_examples(corpus, task, "test", n_neg=n_neg, hard_sampler=sampler, seed=seed)
                 entries = []
                 for ex in examples:
                     cand_ids, s = candidate_scores(model, corpus, cf, ex)

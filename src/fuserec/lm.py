@@ -165,33 +165,33 @@ def orth_loss(bank: MultiLoraBank) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def init_backbone(cfg: LmConfig, rng: np.random.Generator, trainable: bool = False) -> dict[str, Tensor]:
-    """Backbone parameters under their persistent names. `trainable` marks
-    them for a pretraining pass; freeze_backbone flips them frozen after."""
+def init_backbone(cfg: LmConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Backbone parameters under their persistent names, frozen: only a
+    pretraining pass thaws them, and it freezes them again when it ends."""
     if cfg.vocab_size < 1:
         raise ShapeError("vocab_size must be set before building the backbone")
     d, dff = cfg.d_model, cfg.d_ff
     resid_std = 0.02 / np.sqrt(2.0 * cfg.n_layers)
     params: dict[str, Tensor] = {
-        "lm.token_table": Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)), requires_grad=trainable),
-        "lm.pos_table": Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, d)), requires_grad=trainable),
-        "lm.final_norm.gain": Tensor(np.ones(d), requires_grad=trainable),
-        "lm.final_norm.bias": Tensor(np.zeros(d), requires_grad=trainable),
+        "lm.token_table": Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, d))),
+        "lm.pos_table": Tensor(rng.normal(0.0, 0.02, size=(cfg.max_len, d))),
+        "lm.final_norm.gain": Tensor(np.ones(d)),
+        "lm.final_norm.bias": Tensor(np.zeros(d)),
     }
     for i in range(cfg.n_layers):
         p = f"lm.layer{i}"
-        params[f"{p}.norm.attn.gain"] = Tensor(np.ones(d), requires_grad=trainable)
-        params[f"{p}.norm.attn.bias"] = Tensor(np.zeros(d), requires_grad=trainable)
-        params[f"{p}.norm.ffn.gain"] = Tensor(np.ones(d), requires_grad=trainable)
-        params[f"{p}.norm.ffn.bias"] = Tensor(np.zeros(d), requires_grad=trainable)
-        params[f"{p}.q"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)), requires_grad=trainable)
-        params[f"{p}.k"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)), requires_grad=trainable)
-        params[f"{p}.v"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)), requires_grad=trainable)
-        params[f"{p}.o"] = Tensor(rng.normal(0.0, resid_std, size=(d, d)), requires_grad=trainable)
-        params[f"{p}.ffn.w1"] = Tensor(rng.normal(0.0, 0.02, size=(d, dff)), requires_grad=trainable)
-        params[f"{p}.ffn.b1"] = Tensor(np.zeros(dff), requires_grad=trainable)
-        params[f"{p}.ffn.w2"] = Tensor(rng.normal(0.0, resid_std, size=(dff, d)), requires_grad=trainable)
-        params[f"{p}.ffn.b2"] = Tensor(np.zeros(d), requires_grad=trainable)
+        params[f"{p}.norm.attn.gain"] = Tensor(np.ones(d))
+        params[f"{p}.norm.attn.bias"] = Tensor(np.zeros(d))
+        params[f"{p}.norm.ffn.gain"] = Tensor(np.ones(d))
+        params[f"{p}.norm.ffn.bias"] = Tensor(np.zeros(d))
+        params[f"{p}.q"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)))
+        params[f"{p}.k"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)))
+        params[f"{p}.v"] = Tensor(rng.normal(0.0, 0.02, size=(d, d)))
+        params[f"{p}.o"] = Tensor(rng.normal(0.0, resid_std, size=(d, d)))
+        params[f"{p}.ffn.w1"] = Tensor(rng.normal(0.0, 0.02, size=(d, dff)))
+        params[f"{p}.ffn.b1"] = Tensor(np.zeros(dff))
+        params[f"{p}.ffn.w2"] = Tensor(rng.normal(0.0, resid_std, size=(dff, d)))
+        params[f"{p}.ffn.b2"] = Tensor(np.zeros(d))
     return params
 
 

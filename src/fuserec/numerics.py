@@ -48,11 +48,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "node_id")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype not in (np.float64, np.float32):
+        if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
@@ -342,7 +340,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], n_
     return _op("causal_attention", (q, k, v), packed(np.matmul(att, vh)), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a 2-D input, got {x.shape}")
@@ -352,7 +353,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xh = xc * inv
 
     def bwd(g):
@@ -460,15 +461,15 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _op("gather_rows", (table,), table.data[rows], bwd)
 
 
-def row_set(a: Tensor, idx: int | Sequence[int], v: Tensor) -> Tensor:
-    """Copy of a with row idx replaced by the 1-D vector v, or with the
-    distinct rows of an index list replaced by the rows of the 2-D v."""
+def row_set(a: Tensor, idx: Sequence[int], v: Tensor) -> Tensor:
+    """Copy of a with the distinct rows of the index list idx replaced by the
+    rows of the 2-D v, in order."""
     rows = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 2 or rows.ndim > 1 or v.shape != (*rows.shape, a.shape[1]):
+    if a.data.ndim != 2 or rows.ndim != 1 or v.shape != (rows.size, a.shape[1]):
         raise ShapeError(f"row_set shapes disagree: {a.shape} row(s) {list(rows.reshape(-1))} <- {v.shape}")
     if rows.size and (rows.min() < 0 or rows.max() >= a.shape[0]):
-        raise ContractError(f"row index {idx} outside {a.shape[0]} rows")
-    if rows.ndim and len(set(rows.tolist())) != rows.size:
+        raise ContractError(f"row index {list(rows)} outside {a.shape[0]} rows")
+    if len(set(rows.tolist())) != rows.size:
         raise ContractError(f"row_set indices repeat: {list(rows)}")
     data = a.data.copy()
     data[rows] = v.data

@@ -123,9 +123,12 @@ class TrainConfig:
 
 
 class RecModel:
-    """Backbone parameters, adapter bank and fusion module for one run."""
+    """Backbone parameters, adapter bank and fusion module for one run.
 
-    def __init__(self, lm_cfg: LmConfig, variant: str, tasks: tuple[str, ...], d_cf: int, fusion_hidden: int, seed: int, pretrain: bool = False):
+    The backbone is built frozen; _pretrain_backbone is the one place it trains.
+    """
+
+    def __init__(self, lm_cfg: LmConfig, variant: str, tasks: tuple[str, ...], d_cf: int, fusion_hidden: int, seed: int):
         self.lm_cfg = lm_cfg
         self.variant = variant
         self.tasks = tuple(tasks)
@@ -133,7 +136,7 @@ class RecModel:
         self.fusion_hidden = fusion_hidden
         wiring = VARIANTS[variant]
         rng = np.random.default_rng(seed)
-        self.params = lmmod.init_backbone(lm_cfg, rng, trainable=pretrain)
+        self.params = lmmod.init_backbone(lm_cfg, rng)
         self.bank = MultiLoraBank(lm_cfg, self.tasks, wiring.bank, rng)
         if wiring.fusion == "personalized":
             self.fusion = fz.PersonalizedFusion(d_cf, lm_cfg.d_model, fusion_hidden, rng)
@@ -331,19 +334,19 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
     collaborative form with its placeholder markers embedded as ordinary
     vocab tokens (no injection), so neither wording is foreign to the frozen
     backbone later. Each step is one packed pass over batch_size sequences.
-    All positions are supervised; the backbone is frozen afterwards.
+    All positions are supervised. The backbone trains only here: it is thawed
+    at the start and frozen again when the pass ends.
     """
-    backbone = {n: t for n, t in model.params.items() if t.requires_grad}
-    if not backbone:
-        return
     sequences: list[tuple[str, list[int], list[int]]] = []
     for p in pool:
         sequences.append((p.example.task, p.plain.seq, p.plain.targets))
         if p.collab is not None:
             sequences.append((p.example.task, p.collab.seq, p.collab.targets))
-    opt = AdamW(backbone, lr=cfg.pretrain_lr, weight_decay=0.0)
+    opt = AdamW(model.params, lr=cfg.pretrain_lr, weight_decay=0.0)
     rng = SplitMix64(cfg.seed).fork(11)
     silent_bank = MultiLoraBank(model.lm_cfg, model.tasks, "none", np.random.default_rng(0))
+    for t in model.params.values():
+        t.requires_grad = True
     for _ in range(cfg.pretrain_steps):
         tasks, seqs, targets = zip(*(sequences[rng.randbelow(len(sequences))] for _ in range(cfg.batch_size)))
         lengths = [len(seq) for seq in seqs]
@@ -354,7 +357,7 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
             logits = lmmod.forward(embs, tasks[0], model.params, silent_bank, model.lm_cfg, lengths)
             loss = nm.cross_entropy(logits, flat_targets, [True] * len(flat_targets), lengths)
             grads = nm.backward(loss, tape)
-        opt.step({n: nm.grad_of(grads, t) for n, t in backbone.items()})
+        opt.step({n: nm.grad_of(grads, t) for n, t in model.params.items()})
     lmmod.freeze_backbone(model.params)
 
 
@@ -394,17 +397,7 @@ def train(
     for t in tasks:
         if t == "Explain" and not corpus.has_comments:
             raise ContractError("Explain task requested but the corpus has no comments")
-    model = RecModel(
-        lm_cfg,
-        cfg.variant,
-        tasks,
-        cf.d_cf,
-        fusion_hidden,
-        cfg.seed,
-        pretrain=cfg.pretrain_steps > 0,
-    )
-    if cfg.pretrain_steps == 0:
-        lmmod.freeze_backbone(model.params)
+    model = RecModel(lm_cfg, cfg.variant, tasks, cf.d_cf, fusion_hidden, cfg.seed)
 
     with_collab = model.uses_collab_prompt()
     pools: dict[str, list[Prepared]] = {}
@@ -435,8 +428,7 @@ def train(
     sched = BetaSchedule(total_steps=total_steps, tau=cfg.tau)
 
     trainable = model.trainable()
-    decay_names = {n for n in trainable if n.startswith(("lora.", "fusion."))}
-    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay, decay_names=decay_names)
+    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     stream = SplitMix64(cfg.seed).fork(13)
     result = TrainResult(model=model)
@@ -519,7 +511,6 @@ def from_checkpoint(path: str) -> RecModel:
     if not all(isinstance(n, int) and n >= 1 for n in (d_cf, fusion_hidden)):
         raise ckpt.CheckpointError(f"{meta_path}: d_cf {d_cf!r} and fusion_hidden {fusion_hidden!r} must be >= 1")
     model = RecModel(lm_cfg, variant, tasks, d_cf, fusion_hidden, seed=0)
-    lmmod.freeze_backbone(model.params)
     tensors = ckpt.load_tensors(path)
     named = model.named_parameters()
     missing = sorted(set(named) - set(tensors))

@@ -3,6 +3,7 @@ import pytest
 
 from fuserec.collab import CfEmbeddings, CfTrainConfig, train_cf
 from fuserec.corpus import Interaction
+from fuserec.prng import SplitMix64
 
 
 def block_fixture():
@@ -87,6 +88,48 @@ class TestTrainCf:
         within, cross = block_dots(embs)
         assert within > cross
         assert losses[-1] < losses[0]
+
+    def test_seqattn_first_epoch_loss_matches_numpy_replay(self):
+        # one batch per epoch, so epoch 1's loss is the loss of the initial
+        # tables; each sampled negative pools its positive's history, and a
+        # repeated item keeps the history of each of its events
+        data = [Interaction(u, (3 * u + t) % 9, 4, t) for u in range(3) for t in range(6)]
+        data.append(Interaction(0, 0, 5, 9))
+        ui, vi = dense_maps(data)
+        cfg = CfTrainConfig(backend="SeqAttn", d_cf=4, epochs=1, batch_size=64, negatives_per_positive=2,
+                            history_limit=3, seed=5)
+        _embs, losses = train_cf(data, ui, vi, cfg)
+
+        init = np.random.default_rng(cfg.seed)
+        users = init.normal(0.0, 0.1, size=(len(ui), cfg.d_cf))
+        items = init.normal(0.0, 0.1, size=(len(vi), cfg.d_cf))
+        rng = SplitMix64(cfg.seed)
+        order = list(range(len(data)))
+        rng.shuffle(order)
+        owned = {u: {vi[it.item_id] for it in data if it.user_id == u} for u in ui}
+        pos_scores, neg_scores = [], []
+        for i in order:
+            it = data[i]
+            u, v = ui[it.user_id], vi[it.item_id]
+            prior = sorted((h.timestamp, vi[h.item_id]) for h in data if h.user_id == it.user_id and h.timestamp < it.timestamp)
+            hist = items[[h for _t, h in prior][-cfg.history_limit :]]
+            pooled = users[u]
+            if len(hist):
+                logits = hist @ users[u]
+                alpha = np.exp(logits - logits.max())
+                pooled = (alpha / alpha.sum()) @ hist
+            pos_scores.append(users[u] @ items[v] + pooled @ items[v])
+            for _ in range(cfg.negatives_per_positive):
+                neg = rng.randbelow(len(vi))
+                guard = 0
+                while neg in owned[it.user_id] and guard < 100:
+                    neg = rng.randbelow(len(vi))
+                    guard += 1
+                neg_scores.append(users[u] @ items[neg] + pooled @ items[neg])
+        s = np.asarray(pos_scores + neg_scores)
+        y = np.asarray([1.0] * len(pos_scores) + [0.0] * len(neg_scores))
+        expected = np.mean(np.logaddexp(0.0, s) - y * s)
+        assert abs(losses[0] - expected) <= 1e-12 * abs(expected)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuserec import corpus as cp
 from fuserec.corpus import (
@@ -342,6 +344,33 @@ class TestPersistence:
         cp.save_corpus(corpus, str(out))
         loaded = cp.load_corpus(str(out))
         assert loaded.interactions[0].comment == "has\ttab and\nnewline"
+
+    @given(st.text(alphabet=st.sampled_from("ab\\ntr\t\n\r")) | st.text())
+    def test_unescape_undoes_escape(self, text):
+        escaped = cp._escape(text)
+        assert not {"\t", "\n", "\r"} & set(escaped)
+        assert cp._unescape(escaped) == text
+
+    def test_backslash_sequences_survive_round_trip(self, tmp_path):
+        texts = ["c:\\new", "tab\\t and \\\\n", "ends in \\", "cr\r and \\r", "\\\tmixed\n"]
+        interactions = [Interaction(0, v, 5, v, text) for v, text in enumerate(texts)]
+        catalog = {v: f"title {text}" for v, text in enumerate(texts)}
+        corpus = build_corpus(cp.ParseResult(interactions, catalog, 0), SplitSpec(k_core=0))
+        out = tmp_path / "c"
+        cp.save_corpus(corpus, str(out))
+        loaded = cp.load_corpus(str(out))
+        assert [it.comment for it in loaded.interactions] == texts
+        assert loaded.catalog == catalog
+        assert cp.normalize_text(loaded.interactions[0].comment) == "c new"
+
+    def test_unknown_escape_is_a_corpus_error(self, tmp_path, small_corpus):
+        out = tmp_path / "c"
+        cp.save_corpus(small_corpus, str(out))
+        with open(out / "catalog.tsv", "a", encoding="utf-8") as fh:
+            fh.write("999\tbad \\q escape\n")
+        n_lines = len((out / "catalog.tsv").read_text(encoding="utf-8").splitlines())
+        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_lines}: .*unknown escape"):
+            cp.load_corpus(str(out))
 
 
 class TestStats:

@@ -314,14 +314,14 @@ class TestTrainableParams:
     def test_frozen_backbone_counts_zero(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(13)
-        params = lmmod.init_backbone(cfg, rng, trainable=False)
+        params = lmmod.init_backbone(cfg, rng)
         count, names = lmmod.trainable_params(params)
         assert count == 0 and names == []
 
     def test_adapter_parameters_counted(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(14)
-        params = lmmod.init_backbone(cfg, rng, trainable=False)
+        params = lmmod.init_backbone(cfg, rng)
         bank = MultiLoraBank(cfg, TASKS4, "multi-lora", rng)
         named = {**params, **bank.named_parameters()}
         count, names = lmmod.trainable_params(named)

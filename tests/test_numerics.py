@@ -327,7 +327,7 @@ class TestElementwiseOps:
     def test_gather_and_row_set_grads(self):
         rng = np.random.default_rng(11)
         table = Tensor(rng.normal(size=(6, 3)))
-        vec = Tensor(rng.normal(size=3))
+        vec = Tensor(rng.normal(size=(1, 3)))
 
         def through_rows(t):
             picked = nm.gather_rows(t, [0, 2, 2, 5])
@@ -337,7 +337,7 @@ class TestElementwiseOps:
 
         def through_vec(v):
             emb = nm.gather_rows(table, [1, 3, 4])
-            return nm.tsum(nm.mul(nm.row_set(emb, 1, v), nm.row_set(emb, 1, v)))
+            return nm.tsum(nm.mul(nm.row_set(emb, [1], v), nm.row_set(emb, [1], v)))
 
         assert fd(through_vec, vec) < 1e-5
 
@@ -376,7 +376,7 @@ class TestElementwiseOps:
         assert fd(lambda t: nm.tsum(nm.mul(nm.add(x, t), nm.add(x, t))), b) < 1e-5
 
     def test_f32_mode_supported(self):
-        x = Tensor(np.ones((2, 2)), dtype=np.float32)
+        x = Tensor(np.ones((2, 2), dtype=np.float32))
         y = nm.matmul(x, x)
         assert y.data.dtype == np.float32
         assert np.allclose(y.data, 2.0, atol=1e-3)
@@ -401,7 +401,7 @@ RECORDED_OPS = [
     ("reshape", "reshape", [(2, 3)], lambda op, a: op(a, (3, 2))),
     ("transpose", "transpose", [(2, 3)], None),
     ("gather_rows", "gather_rows", [(2, 3)], lambda op, a: op(a, [1, 0, 1])),
-    ("row_set", "row_set", [(2, 3), (3,)], lambda op, a, v: op(a, 1, v)),
+    ("row_set", "row_set", [(2, 3), (1, 3)], lambda op, a, v: op(a, [1], v)),
     ("slice_cols", "slice_cols", [(2, 3)], lambda op, a: op(a, 1, 3)),
     ("concat_cols", "concat_cols", [(2, 3), (2, 1)], lambda op, *ts: op(ts)),
     ("causal_attention", "causal_attention", [(4, 4), (4, 4), (4, 4)], lambda op, q, k, v: op(q, k, v, [1, 3], 2)),

@@ -89,14 +89,6 @@ class TestAdamW:
         opt.step({"p": np.zeros((1, 1))})
         assert p.data[0, 0] == pytest.approx(2.0 * (1 - lr * wd) ** 2)
 
-    def test_decay_respects_name_filter(self):
-        p = Tensor(np.array([[2.0]]), requires_grad=True)
-        q = Tensor(np.array([[2.0]]), requires_grad=True)
-        opt = AdamW({"lora.p": p, "lm.q": q}, lr=0.1, weight_decay=0.5, decay_names={"lora.p"})
-        opt.step({"lora.p": np.zeros((1, 1)), "lm.q": np.zeros((1, 1))})
-        assert p.data[0, 0] < 2.0
-        assert q.data[0, 0] == 2.0
-
     def test_nan_gradient_names_parameter(self):
         p = Tensor(np.array([[1.0]]), requires_grad=True)
         opt = AdamW({"fusion.w": p}, lr=0.1)
@@ -366,6 +358,31 @@ class TestTrainLoop:
         result = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
         for name, t in result.model.params.items():
             assert not t.requires_grad, name
+
+    def test_fine_tuning_never_moves_the_backbone(self, world, monkeypatch):
+        # weight decay reaches every tensor the fine-tune optimizer holds, so
+        # the backbone must not be among them once pretraining has ended
+        corpus, cf, lm_cfg = world
+        cfg = small_train_cfg(tasks=("RP", "CTR"), pretrain_steps=3, epochs=2, weight_decay=0.5)
+        pretrain = tr._pretrain_backbone
+        snapshots = []
+
+        def pretrain_then_snapshot(model, pool, pcfg):
+            before = {n: t.data.copy() for n, t in model.params.items()}
+            pretrain(model, pool, pcfg)
+            snapshots.append((before, {n: t.data.copy() for n, t in model.named_parameters().items()}))
+
+        monkeypatch.setattr(tr, "_pretrain_backbone", pretrain_then_snapshot)
+        result = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
+        (initial, pretrained), = snapshots
+        assert any(not np.array_equal(initial[n], pretrained[n]) for n in initial)
+        final = result.model.named_parameters()
+        assert result.steps > 0
+        for name, t in final.items():
+            if name.startswith("lm."):
+                assert np.array_equal(t.data, pretrained[name]), name
+        for prefix in ("lora.", "fusion."):
+            assert any(not np.array_equal(t.data, pretrained[n]) for n, t in final.items() if n.startswith(prefix)), prefix
 
     def test_collector_paused_without_leaving_cyclic_garbage(self, world):
         # train pauses the cyclic collector, so reference counting alone must
