@@ -96,7 +96,10 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         raw = take(math.prod(dims) * np.dtype(_DTYPES[code]).itemsize)
         if name in out:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(dims).copy()
+        try:
+            out[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(dims).copy()
+        except ValueError as exc:  # a corrupt rank can read dims whose product is 0 but too large to address
+            raise CheckpointError(f"{path}: tensor {name!r} has unusable dims {dims} ({exc})") from None
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out

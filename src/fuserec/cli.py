@@ -41,33 +41,51 @@ def _require(path: str, produced_by: str) -> None:
         raise cp.CorpusError(f"missing artifact {path!r}; run `{produced_by}` first")
 
 
+def _check_size(path: str, what: str, got: int, corpus_dir: str, want: int) -> None:
+    if got != want:
+        raise cp.CorpusError(f"{path} was made for {got} {what}, but the corpus at {corpus_dir!r} has {want}")
+
+
+def _load_corpus(args) -> cp.Corpus:
+    _require(os.path.join(args.corpus, "corpus.json"), "fuserec build-corpus")
+    return cp.load_corpus(args.corpus)
+
+
+def _load_cf(args, corpus: cp.Corpus) -> CfEmbeddings:
+    _require(args.cf, "fuserec train-cf")
+    tensors = ckpt.load_tensors(args.cf)
+    if set(tensors) != {"cf.user_table", "cf.item_table"}:
+        raise ckpt.CheckpointError(f"{args.cf}: not a CF checkpoint, holds {sorted(tensors)[:3]}")
+    cf = CfEmbeddings(tensors["cf.user_table"], tensors["cf.item_table"])
+    _check_size(args.cf, "users", cf.user_table.shape[0], args.corpus, len(corpus.user_index))
+    _check_size(args.cf, "items", cf.item_table.shape[0], args.corpus, len(corpus.item_index))
+    return cf
+
+
+def _load_model(args, corpus: cp.Corpus) -> tr.RecModel:
+    _require(args.model, "fuserec train")
+    model = tr.from_checkpoint(args.model)
+    _check_size(args.model, "vocab tokens", model.lm_cfg.vocab_size, args.corpus, len(corpus.vocab))
+    return model
+
+
 def cmd_train_cf(cfg: dict, args) -> int:
     cf_cfg = build(CfTrainConfig, cfg, "cf", history_limit=cfg["corpus"]["history_limit"])
-    _require(os.path.join(args.corpus, "interactions.tsv"), "fuserec build-corpus")
-    corpus = cp.load_corpus(args.corpus)
+    corpus = _load_corpus(args)
     embs, losses = train_cf(corpus.split.train, corpus.user_index, corpus.item_index, cf_cfg)
     ckpt.save_tensors(args.out, {"cf.user_table": embs.user_table, "cf.item_table": embs.item_table})
     print(f"cf epochs: {len(losses)}; final loss {losses[-1]:.6f}; tables {embs.user_table.shape} / {embs.item_table.shape}")
     return 0
 
 
-def _load_cf(path: str) -> CfEmbeddings:
-    _require(path, "fuserec train-cf")
-    tensors = ckpt.load_tensors(path)
-    if set(tensors) != {"cf.user_table", "cf.item_table"}:
-        raise ckpt.CheckpointError(f"{path}: not a CF checkpoint, holds {sorted(tensors)[:3]}")
-    return CfEmbeddings(tensors["cf.user_table"], tensors["cf.item_table"])
-
-
 def cmd_train(cfg: dict, args) -> int:
     train_cfg = build(tr.TrainConfig, cfg, "train", n_neg=cfg["corpus"]["n_neg"])
-    corpus = cp.load_corpus(args.corpus)
-    cf = _load_cf(args.cf)
+    corpus = _load_corpus(args)
+    cf = _load_cf(args, corpus)
     lm_cfg = build(LmConfig, cfg, "lm", vocab_size=len(corpus.vocab))
     result = tr.train(corpus, cf, lm_cfg, train_cfg, fusion_hidden=cfg["fusion"]["h"])
     tr.to_checkpoint(result, train_cfg, args.out)
-    log_path = args.log if args.log else args.out + ".log.jsonl"
-    with ckpt.atomic_open(log_path) as fh:
+    with ckpt.atomic_open(args.log or args.out + ".log.jsonl") as fh:
         for rec in result.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     print(f"steps: {result.steps}; validation loss per epoch: {[round(v, 4) for v in result.valid_losses]}")
@@ -75,15 +93,12 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_evaluate(cfg: dict, args) -> int:
-    corpus = cp.load_corpus(args.corpus)
-    cf = _load_cf(args.cf)
-    _require(args.model, "fuserec train")
-    model = tr.from_checkpoint(args.model)
+    corpus = _load_corpus(args)
+    cf = _load_cf(args, corpus)
+    model = _load_model(args, corpus)
     report = evaluate_model(model, corpus, cf, n_neg=cfg["corpus"]["n_neg"], seed=cfg["train"]["seed"])
     report["variant"] = model.variant
-    with ckpt.atomic_open(args.out) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    ckpt.save_meta(args.out, report)
     for task, metrics in report["tasks"].items():
         line = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in metrics.items())
         print(f"{task}: {line}")
@@ -91,10 +106,9 @@ def cmd_evaluate(cfg: dict, args) -> int:
 
 
 def cmd_export_embeddings(cfg: dict, args) -> int:
-    corpus = cp.load_corpus(args.corpus)
-    cf = _load_cf(args.cf)
-    _require(args.model, "fuserec train")
-    model = tr.from_checkpoint(args.model)
+    corpus = _load_corpus(args)
+    cf = _load_cf(args, corpus)
+    model = _load_model(args, corpus)
     if tr.VARIANTS[model.variant].fusion == "none":
         raise cp.CorpusError(f"variant {model.variant} has no fusion mapping to export")
     export_projected(model.fusion, cf, args.out)
@@ -102,51 +116,28 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
     return 0
 
 
+# command -> (help, function, the path arguments it requires)
+COMMANDS = {
+    "build-corpus": ("ingest, filter, split, tokenize", cmd_build_corpus, ("input", "out")),
+    "train-cf": ("train the collaborative backend", cmd_train_cf, ("corpus", "out")),
+    "train": ("fine-tune the model", cmd_train, ("corpus", "cf", "out")),
+    "evaluate": ("score the test split", cmd_evaluate, ("corpus", "cf", "model", "out")),
+    "export-embeddings": ("CSV of projected user/item vectors", cmd_export_embeddings, ("corpus", "cf", "model", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuserec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed_section: str):
+    for name, (help_text, func, paths) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override the stage seed")
         p.add_argument("--set", dest="assignments", action="append", default=[], metavar="SECTION.KEY=VALUE")
-        p.set_defaults(seed_section=seed_section)
-
-    p = sub.add_parser("build-corpus", help="ingest, filter, split, tokenize")
-    common(p, "corpus")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_corpus)
-
-    p = sub.add_parser("train-cf", help="train the collaborative backend")
-    common(p, "cf")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_cf)
-
-    p = sub.add_parser("train", help="fine-tune the model")
-    common(p, "train")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--cf", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score the test split")
-    common(p, "train")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--cf", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("export-embeddings", help="CSV of projected user/item vectors")
-    common(p, "train")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--cf", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_embeddings)
+        for path in paths:
+            p.add_argument(f"--{path}", required=True)
+        if name == "train":
+            p.add_argument("--log", default=None, help="training log path (default: <out>.log.jsonl)")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -157,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        seed = [] if args.seed is None else [f"{args.seed_section}.seed={args.seed}"]
-        return args.func(load_config(args.config, args.assignments + seed), args)
+        return args.func(load_config(args.config, args.assignments), args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import re
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, save_meta
 from .prng import SplitMix64
 
 TASKS = ("RP", "CTR", "TopK", "Explain")
@@ -619,9 +619,7 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         dropped_users=corpus.split.dropped_users,
         cold_user_ids=sorted(corpus.split.cold_user_ids),
     )
-    with atomic_open(os.path.join(out_dir, "corpus.json")) as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_meta(os.path.join(out_dir, "corpus.json"), meta)
 
 
 def _read_tsv(path: str, parse: Callable[[list[str]], object]) -> list:

@@ -394,9 +394,6 @@ def train(
     to_checkpoint for two identical runs.
     """
     tasks = cfg.tasks or corpus.tasks
-    for t in tasks:
-        if t == "Explain" and not corpus.has_comments:
-            raise ContractError("Explain task requested but the corpus has no comments")
     model = RecModel(lm_cfg, cfg.variant, tasks, cf.d_cf, fusion_hidden, cfg.seed)
 
     with_collab = model.uses_collab_prompt()

@@ -62,6 +62,21 @@ class TestCheckpointContainer:
         assert dims == (2, 3)
         assert len(blob) == 22 + 6 * 8
 
+    def test_every_bit_flip_loads_or_is_rejected(self, tmp_path):
+        # zero-valued data: a flipped rank reads dims from it whose product is 0
+        path = tmp_path / "full.ckpt"
+        ckpt.save_tensors(str(path), {"a.vec": np.arange(3.0), "b.scalar": np.array(2.0, dtype=np.float32), "c.mat": np.ones((2, 2))})
+        blob = path.read_bytes()
+        flipped = tmp_path / "flipped.ckpt"
+        for bit in range(8 * len(blob)):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            flipped.write_bytes(bytes(damaged))
+            try:
+                ckpt.load_tensors(str(flipped))
+            except ckpt.CheckpointError:
+                pass
+
     def test_every_prefix_is_rejected(self, tmp_path):
         path = tmp_path / "full.ckpt"
         ckpt.save_tensors(str(path), {"a.vec": np.arange(3.0), "b.scalar": np.array(2.0, dtype=np.float32)})
@@ -254,11 +269,9 @@ class TestBuild:
             build(CfTrainConfig, load_config(None, ["cf.batch_size=0"]), "cf")
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One full CLI run on a small corpus; reused by several tests."""
-    root = tmp_path_factory.mktemp("pipeline")
-    interactions, catalog = two_genre_data(n_users=12, n_items=20, per_user=8, seed=77)
+def _run_pipeline(root, n_users: int, n_items: int, seed: int):
+    """build-corpus, train-cf, train and evaluate on generated reviews under root."""
+    interactions, catalog = two_genre_data(n_users=n_users, n_items=n_items, per_user=8, seed=seed)
     data_path = str(root / "reviews.jsonl")
     write_jsonl(interactions, catalog, data_path)
     cfg_path = str(root / "config.json")
@@ -282,6 +295,18 @@ def pipeline(tmp_path_factory):
         ["evaluate", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--model", model_path, "--out", report_path]
     ) == 0
     return root, cfg_path, data_path, corpus_dir, cf_path, model_path, report_path
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One full CLI run on a small corpus; reused by several tests."""
+    return _run_pipeline(tmp_path_factory.mktemp("pipeline"), n_users=12, n_items=20, seed=77)
+
+
+@pytest.fixture(scope="module")
+def other_pipeline(tmp_path_factory):
+    """A CLI run on a second corpus with other user, item and vocab counts."""
+    return _run_pipeline(tmp_path_factory.mktemp("other"), n_users=8, n_items=27, seed=78)
 
 
 class TestPipeline:
@@ -392,11 +417,12 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {section}.{key}: ")
         assert "Traceback" not in err
 
-    def test_seed_flag_is_validated(self, pipeline, tmp_path, capsys):
+    def test_seed_flag_is_not_an_option(self, pipeline, tmp_path, capsys):
         _root, cfg_path, _data, corpus_dir, *_rest = pipeline
-        argv = ["train-cf", "--config", cfg_path, "--corpus", corpus_dir, "--out", str(tmp_path / "cf.ckpt"), "--seed", "-1"]
+        argv = ["train-cf", "--config", cfg_path, "--corpus", corpus_dir, "--out", str(tmp_path / "cf.ckpt"), "--seed", "1"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("usage error: cf.seed: ")
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "cf.ckpt").exists()
 
     def test_failed_stats_leave_no_corpus(self, tmp_path, capsys):
         data = tmp_path / "full.tsv"
@@ -424,6 +450,44 @@ class TestExitCodes:
         main(["train-cf", "--corpus", str(tmp_path / "nocorpus"), "--out", str(tmp_path / "cf.ckpt")])
         err = capsys.readouterr().err
         assert "build-corpus" in err
+
+    @pytest.mark.parametrize(
+        "command,missing",
+        [
+            ("train", "corpus"), ("evaluate", "corpus"), ("export-embeddings", "corpus"),
+            ("train", "cf"), ("evaluate", "cf"), ("export-embeddings", "cf"),
+            ("evaluate", "model"), ("export-embeddings", "model"),
+        ],
+    )
+    def test_every_missing_artifact_names_its_command(self, pipeline, tmp_path, capsys, command, missing):
+        _root, cfg_path, _data, corpus_dir, cf_path, model_path, _report = pipeline
+        paths = {"corpus": corpus_dir, "cf": cf_path, "model": model_path}
+        paths[missing] = str(tmp_path / "nope")
+        reads = {"train": ("corpus", "cf"), "evaluate": ("corpus", "cf", "model"), "export-embeddings": ("corpus", "cf", "model")}
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+        for name in reads[command]:
+            argv += [f"--{name}", paths[name]]
+        assert main(argv) == 2
+        producer = {"corpus": "build-corpus", "cf": "train-cf", "model": "train"}[missing]
+        assert f"run `fuserec {producer}` first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,foreign",
+        [("train", "cf"), ("evaluate", "cf"), ("evaluate", "model"), ("export-embeddings", "cf"), ("export-embeddings", "model")],
+    )
+    def test_artifacts_from_another_corpus_are_a_data_error(self, pipeline, other_pipeline, tmp_path, capsys, command, foreign):
+        _root, cfg_path, _data, corpus_dir, cf_path, model_path, _report = pipeline
+        *_other, other_cf, other_model, _other_report = other_pipeline
+        paths = {"cf": other_cf if foreign == "cf" else cf_path, "model": other_model if foreign == "model" else model_path}
+        argv = [command, "--config", cfg_path, "--corpus", corpus_dir, "--cf", paths["cf"], "--out", str(tmp_path / "out")]
+        if command != "train":
+            argv += ["--model", paths["model"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        # 12 users and 68 vocab tokens here; 8 users and 70 tokens in the other corpus
+        assert ("was made for 8 users" if foreign == "cf" else "was made for 70 vocab tokens") in err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_for_unknown_command(self):
         assert main(["not-a-command"]) == 1

@@ -135,6 +135,21 @@ class TestKCore:
         assert min(users.values()) >= 2 and min(items.values()) >= 2
 
 
+class TestKCoreProperties:
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=60, unique=True),
+        st.integers(1, 4),
+    )
+    def test_iterative_leaves_a_fixpoint_k_core(self, pairs, k):
+        out = k_core_filter([mk(u, v, t=n) for n, (u, v) in enumerate(pairs)], k, iterative=True)
+        users, items = {}, {}
+        for it in out:
+            users[it.user_id] = users.get(it.user_id, 0) + 1
+            items[it.item_id] = items.get(it.item_id, 0) + 1
+        assert all(n >= k for n in users.values()) and all(n >= k for n in items.values())
+        assert k_core_filter(out, k, iterative=True) == out
+
+
 class TestSplits:
     def test_leave_one_out_by_time(self):
         data = [Interaction(1, i, 5, t) for i, t in zip(range(5), range(5))]

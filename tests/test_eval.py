@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuserec import evaluate as ev
 from fuserec import corpus as cp
@@ -152,6 +154,27 @@ class TestAuc:
             scores = [rng.randbelow(6) / 5.0 for _ in range(n)]
             assert ev.auc(scores, labels) == brute_force_auc(scores, labels)
             checked += 1
+
+
+# (score, label) with scores on a coarse grid, so exact ties are common
+_PAIR = st.tuples(st.integers(0, 4).map(lambda s: s / 4.0), st.integers(0, 1))
+
+
+class TestAucProperties:
+    @given(st.lists(_PAIR, min_size=2, max_size=30).filter(lambda pairs: len({label for _, label in pairs}) == 2))
+    def test_auc_equals_pair_counting(self, pairs):
+        scores, labels = [s for s, _ in pairs], [label for _, label in pairs]
+        assert ev.auc(scores, labels) == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+    @given(st.lists(st.lists(_PAIR, min_size=1, max_size=8), min_size=1, max_size=6))
+    def test_u_auc_is_the_mean_over_two_class_users(self, users):
+        per_user = {u: ([s for s, _ in pairs], [label for _, label in pairs]) for u, pairs in enumerate(users)}
+        both = [brute_force_auc(*per_user[u]) for u in per_user if len(set(per_user[u][1])) == 2]
+        if not both:
+            with pytest.raises(ev.MetricError):
+                ev.u_auc(per_user)
+        else:
+            assert ev.u_auc(per_user) == pytest.approx(sum(both) / len(both), abs=1e-12)
 
 
 class TestUAuc:

@@ -410,5 +410,5 @@ class TestTrainLoop:
 
         cf = CfEmbeddings(rng.normal(size=(len(corpus.user_ids), 4)), rng.normal(size=(len(corpus.item_ids), 4)))
         lm_cfg = LmConfig(n_layers=1, n_heads=1, d_model=4, vocab_size=len(corpus.vocab), max_len=96, rank=1)
-        with pytest.raises(ContractError):
+        with pytest.raises(cp.CorpusError, match="Explain task requires comment data"):
             tr.train(corpus, cf, lm_cfg, small_train_cfg(tasks=("Explain",)), fusion_hidden=2)
