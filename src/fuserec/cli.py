@@ -62,10 +62,12 @@ def _load_cf(args, corpus: cp.Corpus) -> CfEmbeddings:
     return cf
 
 
-def _load_model(args, corpus: cp.Corpus) -> tr.RecModel:
+def _load_model(args, corpus: cp.Corpus, cf: CfEmbeddings) -> tr.RecModel:
     _require(args.model, "fuserec train")
     model = tr.from_checkpoint(args.model)
     _check_size(args.model, "vocab tokens", model.lm_cfg.vocab_size, args.corpus, len(corpus.vocab))
+    if model.d_cf != cf.d_cf:
+        raise cp.CorpusError(f"{args.model} was made for CF vectors of width {model.d_cf}, but {args.cf} holds width {cf.d_cf}")
     return model
 
 
@@ -95,7 +97,7 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_evaluate(cfg: dict, args) -> int:
     corpus = _load_corpus(args)
     cf = _load_cf(args, corpus)
-    model = _load_model(args, corpus)
+    model = _load_model(args, corpus, cf)
     report = evaluate_model(model, corpus, cf, n_neg=cfg["corpus"]["n_neg"], seed=cfg["train"]["seed"])
     report["variant"] = model.variant
     ckpt.save_meta(args.out, report)
@@ -108,7 +110,7 @@ def cmd_evaluate(cfg: dict, args) -> int:
 def cmd_export_embeddings(cfg: dict, args) -> int:
     corpus = _load_corpus(args)
     cf = _load_cf(args, corpus)
-    model = _load_model(args, corpus)
+    model = _load_model(args, corpus, cf)
     if tr.VARIANTS[model.variant].fusion == "none":
         raise cp.CorpusError(f"variant {model.variant} has no fusion mapping to export")
     export_projected(model.fusion, cf, args.out)

@@ -49,8 +49,8 @@ def answer_distribution(
     enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
     rows = tr.cf_rows(example, corpus, cf, [example.candidate])
     embs = tr.embed(model, [enc.seq[: enc.n_prompt]], [enc.positions], rows)
-    logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
-    sub = logits.data[enc.n_prompt - 1][ids]
+    logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg, read=[[enc.n_prompt - 1]])
+    sub = logits.data[0][ids]
     e = np.exp(sub - sub.max())
     return e / e.sum()
 
@@ -72,8 +72,9 @@ def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example:
     scores = []
     for title_ids, row in zip(titles, rows):
         embs = tr.embed(model, [prompt + title_ids], [enc.positions], [row], ep_u)
-        logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg)
-        total = sum(_log_softmax(logits.data[enc.n_prompt - 1 + j])[tok] for j, tok in enumerate(title_ids))
+        read = [[enc.n_prompt - 1 + j for j in range(len(title_ids))]]
+        logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg, read=read)
+        total = sum(_log_softmax(z)[tok] for z, tok in zip(logits.data, title_ids))
         scores.append(total / len(title_ids))
     return list(example.candidate_set), np.asarray(scores)
 

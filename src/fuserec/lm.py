@@ -2,7 +2,9 @@
 
 The frozen backbone is a standard pre-norm decoder (causal multi-head
 attention, GELU feed-forward, tied output projection). One pass runs a pack
-of sequences laid end to end as rows, kept apart by their lengths. Adapters
+of sequences laid end to end as rows, kept apart by their lengths, and returns
+logits for the positions the caller reads: the last layer computes keys and
+values for every row and the rest only for the read rows. Adapters
 add a trainable rank-limited delta x @ A @ B on top of the frozen
 projections: query projections get one adapter per task, key/value/output
 share one adapter across tasks. An orthogonality penalty pushes different tasks' query
@@ -11,6 +13,7 @@ A matrices toward disjoint column spaces.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -208,16 +211,27 @@ def mha_forward(
     bank: MultiLoraBank,
     cfg: LmConfig,
     lengths: Sequence[int] | None = None,
+    read: Sequence[Sequence[int]] | None = None,
 ) -> Tensor:
     """Causal multi-head attention for one layer over a pack of sequences of
-    the given lengths (default: x is one sequence); query projections use the
-    task's adapter, key/value/output the shared ones (mode permitting)."""
+    the given lengths (default: x is one sequence). Keys and values come from
+    every row; queries from the positions read[b] of each sequence b, one
+    output row each (default: every row). Query projections use the task's
+    adapter, key/value/output the shared ones (mode permitting)."""
     p = f"lm.layer{layer}"
-    q = lora_apply(x, params[f"{p}.q"], bank.adapter(layer, "q", task))
+    lengths = [x.shape[0]] if lengths is None else lengths
+    xq = x if read is None else nm.gather_rows(x, _packed_rows(lengths, read))
+    q = lora_apply(xq, params[f"{p}.q"], bank.adapter(layer, "q", task))
     k = lora_apply(x, params[f"{p}.k"], bank.adapter(layer, "k", task))
     v = lora_apply(x, params[f"{p}.v"], bank.adapter(layer, "v", task))
-    merged = nm.causal_attention(q, k, v, [x.shape[0]] if lengths is None else lengths, cfg.n_heads)
+    merged = nm.causal_attention(q, k, v, lengths, cfg.n_heads, read)
     return lora_apply(merged, params[f"{p}.o"], bank.adapter(layer, "o", task))
+
+
+def _packed_rows(lengths: Sequence[int], read: Sequence[Sequence[int]]) -> list[int]:
+    """The pack's row numbers of the positions read[b] of each sequence b."""
+    starts = itertools.accumulate(lengths[:-1], initial=0)
+    return [start + t for start, positions in zip(starts, read) for t in positions]
 
 
 def forward(
@@ -227,13 +241,17 @@ def forward(
     bank: MultiLoraBank,
     cfg: LmConfig,
     lengths: Sequence[int] | None = None,
+    read: Sequence[Sequence[int]] | None = None,
 ) -> Tensor:
     """Pre-norm decoder stack over a pack of embedding sequences, given by
-    their lengths (default: embs is one sequence); returns the packed logits,
-    one row per embedding row, through the tied token-table projection.
+    their lengths (default: embs is one sequence); returns logits through the
+    tied token-table projection, one row per position read[b] of each
+    sequence b, sequence after sequence (default: one per embedding row).
 
     Positions restart at 0 in every sequence and no row attends outside its
     own sequence, so each sequence's logits are those of a pass over it alone.
+    No row reads a later row, so the last layer needs every row only for its
+    keys and values: the rest of it runs on the read rows alone.
     """
     lengths = [embs.shape[0]] if lengths is None else list(lengths)
     if sum(lengths) != embs.shape[0]:
@@ -245,8 +263,12 @@ def forward(
     x = nm.add(embs, pos)
     for i in range(cfg.n_layers):
         p = f"lm.layer{i}"
+        last_read = read if i == cfg.n_layers - 1 else None
         h = nm.layer_norm(x, params[f"{p}.norm.attn.gain"], params[f"{p}.norm.attn.bias"])
-        x = nm.add(x, mha_forward(h, task, i, params, bank, cfg, lengths))
+        attn = mha_forward(h, task, i, params, bank, cfg, lengths, last_read)
+        if last_read is not None:
+            x = nm.gather_rows(x, _packed_rows(lengths, last_read))
+        x = nm.add(x, attn)
         h2 = nm.layer_norm(x, params[f"{p}.norm.ffn.gain"], params[f"{p}.norm.ffn.bias"])
         f = nm.matmul(nm.gelu(nm.add(nm.matmul(h2, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])), params[f"{p}.ffn.w2"])
         x = nm.add(x, nm.add(f, params[f"{p}.ffn.b2"]))

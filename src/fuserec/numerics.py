@@ -7,9 +7,10 @@ order so repeated passes are bitwise identical, and returns gradients for the
 requires_grad leaves the loss reached; `grad_of` gives zeros for the rest.
 Shapes are limited to 2-D matrices, row/column vectors and scalars plus
 last-axis bias broadcast. One op is fused: `causal_attention` takes packed 2-D
-query/key/value rows of several sequences and returns packed 2-D rows, padding
-to a 4-D batch only inside its forward and backward. Nothing else fuses,
-parallelizes, or broadcasts beyond that.
+key/value rows of several sequences, and query rows either for every position
+or for given positions of each sequence, and returns one packed 2-D row per
+query row, padding to a 4-D batch only inside its forward and backward.
+Nothing else fuses, parallelizes, or broadcasts beyond that.
 """
 
 from __future__ import annotations
@@ -271,73 +272,111 @@ def _future_mask(size: int) -> np.ndarray:
     return mask
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], n_heads: int) -> Tensor:
+class _Padding:
+    """How the packed rows of consecutive segments of the given sizes sit in
+    a (B, T) grid, T being the longest size. Equal sizes need only a reshape."""
+
+    def __init__(self, sizes: Sequence[int]):
+        self.b, self.t = len(sizes), max(sizes)
+        self.ragged = self.b * self.t != sum(sizes)
+        if self.ragged:
+            self.seg = np.repeat(np.arange(self.b), sizes)
+            self.slot = np.arange(sum(sizes)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+
+    def heads(self, x: np.ndarray, n_heads: int) -> np.ndarray:
+        """Packed rows -> (B, n_heads, T, d_head), zero past each segment's end."""
+        d = x.shape[1]
+        if self.ragged:
+            padded = np.zeros((self.b, self.t, d), dtype=x.dtype)
+            padded[self.seg, self.slot] = x
+            x = padded
+        return x.reshape(self.b, self.t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """(B, n_heads, T, d_head) -> packed rows, the heads side by side."""
+        rows = x.transpose(0, 2, 1, 3).reshape(self.b, self.t, -1)
+        return rows[self.seg, self.slot] if self.ragged else rows.reshape(self.b * self.t, -1)
+
+
+def causal_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    lengths: Sequence[int],
+    n_heads: int,
+    queries: Sequence[Sequence[int]] | None = None,
+) -> Tensor:
     """Causal multi-head attention over a pack of sequences, as one op.
 
-    q, k and v are N x d: the rows of consecutive sequences of the given
-    lengths (summing to N). Head h reads columns h*d/n_heads up to
-    (h+1)*d/n_heads, scores are scaled by 1/sqrt(d/n_heads), and each row
-    attends to the rows of its own sequence up to and including itself.
-    Returns the heads' outputs side by side as N x d rows.
+    k and v are N x d: the rows of consecutive sequences of the given lengths
+    (summing to N). Without queries, q is N x d as well and every row asks;
+    with queries, queries[b] lists the positions in sequence b that ask (at
+    least one each, every one inside the sequence), and q holds their rows,
+    sequence after sequence. Head h reads columns h*d/n_heads up to
+    (h+1)*d/n_heads, scores are scaled by 1/sqrt(d/n_heads), and a query at
+    position p attends to the rows of its own sequence up to and including p.
+    Returns the heads' outputs side by side, one row per query row.
 
-    Inside, each sequence is padded with zero rows to the longest one (equal
-    lengths need only a reshape) and the scores of all sequences and heads
-    form one (B, n_heads, T, T) batch under an additive causal mask. The mask
-    alone keeps a real row off the padding, since padding only follows a
-    sequence's rows; padded rows are dropped on the way out and get zero
+    Inside, each sequence's rows are padded with zero rows to the longest
+    sequence (equal lengths need only a reshape), its query rows likewise to
+    the most queries, and the scores of all sequences and heads form one
+    (B, n_heads, Q, T) batch under an additive causal mask: the cached
+    triangle when every row asks, one built from the positions otherwise. The
+    mask alone keeps a real query off the padding, since padding only follows
+    a sequence's rows; padded rows are dropped on the way out and get zero
     gradient. Non-finite scores or values raise NumericError.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"causal_attention expects equal N x d inputs, got {q.shape}/{k.shape}/{v.shape}")
-    n, d = q.shape
+    if k.data.ndim != 2 or q.data.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"causal_attention expects N x d keys and values and d-wide queries, got {q.shape}/{k.shape}/{v.shape}")
+    n, d = k.shape
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"causal_attention: width {d} not divisible into {n_heads} heads")
     sizes = _segment_sizes(lengths, n)
-    b, t, dh = len(sizes), max(sizes), d // n_heads
-    ragged = b * t != n
-    if ragged:
-        seg = np.repeat(np.arange(b), sizes)
-        pos = np.arange(n) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
-
-    def heads(x):
-        """Packed rows -> (B, n_heads, T, d_head), zero past each sequence's end."""
-        if ragged:
-            padded = np.zeros((b, t, d), dtype=x.dtype)
-            padded[seg, pos] = x
-            x = padded
-        return x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def packed(x):
-        """(B, n_heads, T, d_head) -> packed rows, the heads side by side."""
-        rows = x.transpose(0, 2, 1, 3).reshape(b, t, d)
-        return rows[seg, pos] if ragged else rows.reshape(n, d)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    c = 1.0 / np.sqrt(dh)
+    kv = _Padding(sizes)
+    if queries is None:
+        if q.shape != k.shape:
+            raise ShapeError(f"causal_attention: {q.shape[0]} query rows for {n} key rows")
+        qp = kv
+        # masks come in power-of-two sizes, so few are ever built
+        mask = _future_mask(1 << (kv.t - 1).bit_length())[: kv.t, : kv.t]
+    else:
+        counts = [len(r) for r in queries]
+        if len(counts) != len(sizes) or min(counts) < 1:
+            raise ContractError(f"causal_attention needs query positions in each of {len(sizes)} sequences, got {counts}")
+        if q.shape[0] != sum(counts):
+            raise ShapeError(f"causal_attention: {q.shape[0]} query rows for {sum(counts)} query positions")
+        qp = _Padding(counts)
+        at = np.zeros((qp.b, qp.t), dtype=np.intp)
+        for row, size, r in zip(at, sizes, queries):
+            row[: len(r)] = r
+            if row.min() < 0 or row.max() >= size:
+                raise ContractError(f"query positions {list(r)} outside a sequence of {size} rows")
+        mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0)
+    c = 1.0 / np.sqrt(d // n_heads)
+    qh, kh, vh = qp.heads(q.data, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     scores *= c
     if not (np.isfinite(scores).all() and np.isfinite(v.data).all()):
         raise NumericError("causal attention over non-finite scores or values")
-    # softmax over the last axis, in place: these arrays are the op's largest.
-    # Masks come in power-of-two sizes, so few are ever built.
-    scores += _future_mask(1 << (t - 1).bit_length())[:t, :t]
+    # softmax over the last axis, in place: these arrays are the op's largest
+    scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
     att = np.exp(scores, out=scores)
     att /= att.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        gh = heads(g)
+        gh = qp.heads(g, n_heads)
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         gs -= (gs * att).sum(axis=-1, keepdims=True)
         gs *= att
         gs *= c
         return (
-            packed(np.matmul(gs, kh)) if q.requires_grad else None,
-            packed(np.matmul(gs.transpose(0, 1, 3, 2), qh)) if k.requires_grad else None,
-            packed(np.matmul(att.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
+            qp.packed(np.matmul(gs, kh)) if q.requires_grad else None,
+            kv.packed(np.matmul(gs.transpose(0, 1, 3, 2), qh)) if k.requires_grad else None,
+            kv.packed(np.matmul(att.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
         )
 
-    return _op("causal_attention", (q, k, v), packed(np.matmul(att, vh)), bwd)
+    return _op("causal_attention", (q, k, v), qp.packed(np.matmul(att, vh)), bwd)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -374,50 +413,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _op("layer_norm", (x, gain, bias), xh * gain.data + bias.data, bwd)
 
 
-def cross_entropy(
-    logits: Tensor, targets: Sequence[int], mask: Sequence[bool], lengths: Sequence[int] | None = None
-) -> Tensor:
-    """Mean negative log-softmax probability over masked-in positions.
+def cross_entropy(logits: Tensor, targets: Sequence[int], lengths: Sequence[int] | None = None) -> Tensor:
+    """Mean negative log-softmax probability of each row's target.
 
     With lengths, the rows are a pack of consecutive segments of those lengths,
-    and the result is the mean over segments of each segment's masked mean.
+    and the result is the mean over segments of each segment's mean.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects T x V logits, got {logits.shape}")
     t_len, vocab = logits.shape
-    if len(targets) != t_len or len(mask) != t_len:
-        raise ContractError(
-            f"cross_entropy lengths disagree: logits {t_len}, targets {len(targets)}, mask {len(mask)}"
-        )
+    if len(targets) != t_len:
+        raise ContractError(f"cross_entropy lengths disagree: logits {t_len}, targets {len(targets)}")
     sizes = _segment_sizes([t_len] if lengths is None else lengths, t_len)
-    idx = [i for i, m in enumerate(mask) if m]
-    if not idx:
-        raise ContractError("cross_entropy mask selects no positions")
-    for i in idx:
-        if not 0 <= targets[i] < vocab:
-            raise ContractError(f"target id {targets[i]} at position {i} outside vocab of {vocab}")
-    rows = np.asarray(idx, dtype=np.intp)
-    cols = np.asarray([targets[i] for i in idx], dtype=np.intp)
-    sel = logits.data[rows]
-    m = sel.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(sel - m).sum(axis=1))
-    nll = lse - sel[np.arange(len(idx)), cols]
-    # the selected positions of each segment are one run of nll
-    cuts = np.searchsorted(rows, np.cumsum([0, *sizes]))
-    counts = np.diff(cuts)
-    if not counts.all():
-        raise ContractError(f"cross_entropy mask selects no position in segment {int(np.argmin(counts))}")
+    cols = np.asarray(targets, dtype=np.intp)
+    outside = np.flatnonzero((cols < 0) | (cols >= vocab))
+    if outside.size:
+        i = int(outside[0])
+        raise ContractError(f"target id {targets[i]} at position {i} outside vocab of {vocab}")
+    x = logits.data
+    m = x.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    nll = lse - x[np.arange(t_len), cols]
+    cuts = np.cumsum([0, *sizes])
     seg_means = [nll[a:b].mean() for a, b in zip(cuts[:-1], cuts[1:])]
-    # the divisor of each position in the mean over segments of segment means
-    denom = np.repeat(len(counts) * counts, counts)[:, None]
+    # the divisor of each row in the mean over segments of segment means
+    denom = np.repeat(len(sizes) * np.asarray(sizes), sizes)[:, None]
 
     def bwd(g):
-        soft = np.exp(sel - m)
+        soft = np.exp(x - m)
         soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(len(idx)), cols] -= 1.0
-        full = np.zeros_like(logits.data)
-        full[rows] = soft * (float(g) / denom)
-        return (full,)
+        soft[np.arange(t_len), cols] -= 1.0
+        return (soft * (float(g) / denom),)
 
     return _op("cross_entropy", (logits,), np.mean(seg_means), bwd)
 

@@ -255,11 +255,12 @@ def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with
 
 def pack_loss(model: RecModel, task: str, encs: Sequence[Encoded], rows: Sequence[CfRows]) -> Tensor:
     """Mean over the sequences of each one's masked answer-token loss, from
-    one decoder pass over their pack."""
+    one decoder pass over their pack that reads the masked positions alone."""
     embs = embed(model, [e.seq for e in encs], [e.positions for e in encs], rows)
-    lengths = [len(e.seq) for e in encs]
-    logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, lengths)
-    return nm.cross_entropy(logits, [t for e in encs for t in e.targets], [m for e in encs for m in e.mask], lengths)
+    read = [[t for t, m in enumerate(e.mask) if m] for e in encs]
+    logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, [len(e.seq) for e in encs], read)
+    targets = [e.targets[t] for e, positions in zip(encs, read) for t in positions]
+    return nm.cross_entropy(logits, targets, [len(r) for r in read])
 
 
 def batch_loss(
@@ -355,7 +356,7 @@ def _pretrain_backbone(model: RecModel, pool: list[Prepared], cfg: TrainConfig) 
             embs = nm.gather_rows(model.params["lm.token_table"], [t for seq in seqs for t in seq])
             # a bank without adapters reads the same weights for every task
             logits = lmmod.forward(embs, tasks[0], model.params, silent_bank, model.lm_cfg, lengths)
-            loss = nm.cross_entropy(logits, flat_targets, [True] * len(flat_targets), lengths)
+            loss = nm.cross_entropy(logits, flat_targets, lengths)
             grads = nm.backward(loss, tape)
         opt.step({n: nm.grad_of(grads, t) for n, t in model.params.items()})
     lmmod.freeze_backbone(model.params)

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,18 @@ from fuserec.lm import LmConfig
 from fuserec.trainer import TrainConfig
 
 from synthdata import two_genre_data, write_jsonl
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_import_pins_one_thread_unless_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+        code = "import os, fuserec; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == expected
 
 
 class TestCheckpointContainer:
@@ -530,7 +544,7 @@ class TestExitCodes:
         "artifact",
         [
             "model", "model-meta", "cf", "cf-is-model", "corpus", "interactions", "splits", "catalog",
-            "meta-no-lm", "meta-lm-not-object", "meta-bad-variant", "meta-bad-size",
+            "meta-no-lm", "meta-lm-not-object", "meta-bad-variant", "meta-bad-size", "cf-width",
         ],
     )
     def test_damaged_artifact_is_a_data_error(self, pipeline, tmp_path, capsys, artifact):
@@ -550,6 +564,10 @@ class TestExitCodes:
                 fh.truncate(7)
         elif artifact == "cf-is-model":
             shutil.copyfile(model_path, cf_copy)
+        elif artifact == "cf-width":
+            # the right user and item counts, but 8 columns for a model made on 6
+            tables = ckpt.load_tensors(cf_path)
+            ckpt.save_tensors(cf_copy, {name: np.zeros((t.shape[0], 8)) for name, t in tables.items()})
         elif artifact == "corpus":
             with open(os.path.join(corpus_copy, "corpus.json"), "w") as fh:
                 fh.write('{"mode": "leave-one-out", ')
@@ -579,3 +597,5 @@ class TestExitCodes:
             with open(os.path.join(corpus_copy, artifact + ".tsv")) as fh:
                 n_lines = len(fh.readlines())
             assert f"{artifact}.tsv:{n_lines}:" in err
+        if artifact == "cf-width":
+            assert f"{model_copy} was made for CF vectors of width 6, but {cf_copy} holds width 8" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -57,14 +58,45 @@ class TestAnswerDistribution:
         assert abs(dist.sum() - 1.0) < 1e-9
         assert (dist > 0).all()
 
+    def test_read_rows_equal_a_full_logits_recomputation(self, setup):
+        corpus, cf, model = setup
+        # two layers, so one runs on every row and the last one on the read rows;
+        # non-zero adapter and fusion weights, so they take part
+        model = RecModel(dataclasses.replace(model.lm_cfg, n_layers=2), "CKF", corpus.tasks, 6, 4, seed=6)
+        rng = np.random.default_rng(7)
+        for _name, param in sorted(model.trainable().items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+
+        def full_logits(ex, candidate, suffix):
+            enc = tr.encode_prompt(ex, corpus, model.uses_collab_prompt())
+            rows = tr.cf_rows(ex, corpus, cf, [candidate])
+            embs = tr.embed(model, [enc.seq[: enc.n_prompt] + suffix], [enc.positions], rows)
+            logits = ev.lmmod.forward(embs, ex.task, model.params, model.bank, model.lm_cfg).data
+            return logits[enc.n_prompt - 1 :]
+
+        for task, answers in (("RP", ev.RATING_ANSWERS), ("CTR", ev.CLICK_ANSWERS)):
+            for ex in build_examples(corpus, task, "test", seed=1)[:3]:
+                sub = full_logits(ex, ex.candidate, [])[0][[corpus.vocab.index[a] for a in answers]]
+                want = np.exp(sub - sub.max()) / np.exp(sub - sub.max()).sum()
+                assert np.abs(ev.answer_distribution(model, corpus, cf, ex, answers) - want).max() < 1e-12
+        ex = build_examples(corpus, "TopK", "test", n_neg=4, seed=1)[0]
+        want = []
+        for cand in ex.candidate_set:
+            title = corpus.vocab.encode(corpus.catalog[cand], bos=False)
+            logits = full_logits(ex, cand, title)[: len(title)]
+            logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            want.append(logp[np.arange(len(title)), title].mean())
+        _cands, got = ev.candidate_scores(model, corpus, cf, ex)
+        assert np.abs(got - np.asarray(want)).max() < 1e-12
+
     def test_boosted_answer_becomes_argmax(self, setup, monkeypatch):
         corpus, cf, model = setup
         ex = build_examples(corpus, "RP", "test", seed=1)[0]
         target = corpus.vocab.index["4"]
         real_forward = ev.lmmod.forward
 
-        def boosted(embs, task, params, bank, cfg):
-            logits = real_forward(embs, task, params, bank, cfg)
+        def boosted(embs, task, params, bank, cfg, read=None):
+            logits = real_forward(embs, task, params, bank, cfg, read=read)
             bumped = logits.data.copy()
             bumped[:, target] += 10.0
             return Tensor(bumped)

@@ -289,6 +289,18 @@ class TestPacking:
             assert np.abs(packed[start : start + t_len] - alone).max() < 1e-12
             start += t_len
 
+    def test_read_rows_equal_the_selected_rows_of_the_full_pass(self):
+        full = self.forward(self.x, self.LENGTHS)
+        starts = np.cumsum([0, *self.LENGTHS[:-1]])
+        for read in ([[4], [0], [6], [2]], [[0, 2, 4], [0], [1, 5, 6], [0, 1, 2]]):
+            got = lmmod.forward(Tensor(self.x), "CTR", self.params, self.bank, self.cfg, self.LENGTHS, read).data
+            rows = [s + t for s, positions in zip(starts, read) for t in positions]
+            assert got.shape == (len(rows), self.cfg.vocab_size)
+            assert np.abs(got - full[rows]).max() < 1e-12
+        alone = self.x[:5]
+        got = lmmod.forward(Tensor(alone), "CTR", self.params, self.bank, self.cfg, read=[[3, 4]]).data
+        assert np.abs(got - self.forward(alone)[3:5]).max() < 1e-12
+
     def test_bumping_sequence_zero_leaves_the_others_bit_identical(self):
         base = self.forward(self.x, self.LENGTHS)
         first = self.LENGTHS[0]

@@ -115,56 +115,52 @@ class TestLayerNorm:
 class TestCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
         logits = Tensor(np.zeros((1, 8)))
-        loss = nm.cross_entropy(logits, [3], [True])
+        loss = nm.cross_entropy(logits, [3])
         assert abs(loss.item() - math.log(8.0)) < 1e-12
 
     def test_certain_prediction_gives_zero(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1e6
-        loss = nm.cross_entropy(Tensor(logits), [2], [True])
+        loss = nm.cross_entropy(Tensor(logits), [2])
         assert loss.item() < 1e-9
 
-    def test_masked_out_position_contributes_nothing(self):
-        rng = np.random.default_rng(7)
-        logits = rng.normal(size=(2, 6))
-        both = nm.cross_entropy(Tensor(logits), [1, 4], [True, False]).item()
-        single = nm.cross_entropy(Tensor(logits[:1]), [1], [True]).item()
-        assert both == single
-
-    def test_all_false_mask_rejected(self):
+    def test_no_rows_rejected(self):
         with pytest.raises(ContractError):
-            nm.cross_entropy(Tensor(np.zeros((2, 4))), [0, 1], [False, False])
+            nm.cross_entropy(Tensor(np.zeros((0, 4))), [])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            nm.cross_entropy(Tensor(np.zeros((2, 4))), [0], [True, True])
+            nm.cross_entropy(Tensor(np.zeros((2, 4))), [0])
+
+    def test_target_outside_vocab_rejected(self):
+        with pytest.raises(ContractError, match="target id 4 at position 1"):
+            nm.cross_entropy(Tensor(np.zeros((3, 4))), [0, 4, -1])
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         logits = Tensor(rng.normal(size=(3, 5)))
-        assert fd(lambda t: nm.cross_entropy(t, [1, 0, 4], [True, False, True]), logits) < 1e-5
+        assert fd(lambda t: nm.cross_entropy(t, [1, 0, 4]), logits) < 1e-5
 
     def test_lengths_give_mean_of_segment_calls(self):
         rng = np.random.default_rng(26)
         lengths = [2, 4, 1, 3]
         logits = rng.normal(size=(10, 6))
         targets = list(rng.integers(0, 6, size=10))
-        mask = [True, False, False, True, True, False, True, True, False, True]
-        packed = nm.cross_entropy(Tensor(logits), targets, mask, lengths).item()
+        packed = nm.cross_entropy(Tensor(logits), targets, lengths).item()
         singles, start = [], 0
         for t_len in lengths:
             rows = slice(start, start + t_len)
-            singles.append(nm.cross_entropy(Tensor(logits[rows]), targets[rows], mask[rows]).item())
+            singles.append(nm.cross_entropy(Tensor(logits[rows]), targets[rows]).item())
             start += t_len
         assert abs(packed - np.mean(singles)) < 1e-12
-        assert fd(lambda t: nm.cross_entropy(t, targets, mask, lengths), Tensor(logits)) < 1e-5
+        assert fd(lambda t: nm.cross_entropy(t, targets, lengths), Tensor(logits)) < 1e-5
 
     def test_lengths_checked(self):
         logits = Tensor(np.zeros((3, 4)))
         with pytest.raises(ContractError):
-            nm.cross_entropy(logits, [0, 1, 2], [True, True, True], [1, 1])
-        with pytest.raises(ContractError, match="segment 1"):
-            nm.cross_entropy(logits, [0, 1, 2], [True, False, True], [1, 1, 1])
+            nm.cross_entropy(logits, [0, 1, 2], [1, 1])
+        with pytest.raises(ContractError):
+            nm.cross_entropy(logits, [0, 1, 2], [1, 0, 2])
 
 
 def _attention_by_loops(q, k, v, lengths, n_heads):
@@ -250,6 +246,57 @@ class TestCausalAttention:
             nm.causal_attention(q, k, v, [0, 5, 3], 2)
         with pytest.raises(ShapeError):
             nm.causal_attention(q, k, v, self.LENGTHS, 3)
+
+    # (lengths, per-sequence query positions): ragged and equal packs, each
+    # with ragged and equal query counts
+    QUERY_CASES = [
+        ([1, 4, 3], [[0], [1, 3], [0, 1, 2]]),
+        ([1, 4, 3], [[0], [3], [2]]),
+        ([4, 4], [[3], [0, 2]]),
+        ([4, 4], [[0, 1, 2, 3], [1, 2, 3, 0]]),
+    ]
+
+    @staticmethod
+    def query_rows(lengths, queries):
+        starts = np.cumsum([0, *lengths[:-1]])
+        return [int(s) + p for s, positions in zip(starts, queries) for p in positions]
+
+    @pytest.mark.parametrize("lengths,queries", QUERY_CASES)
+    def test_query_positions_give_the_matching_rows_of_the_full_op(self, lengths, queries):
+        q, k, v = self.inputs(29, d=6)
+        rows = self.query_rows(lengths, queries)
+        for n_heads in (1, 2, 3):
+            full = nm.causal_attention(q, k, v, lengths, n_heads).data
+            got = nm.causal_attention(Tensor(q.data[rows]), k, v, lengths, n_heads, queries).data
+            assert got.shape == (len(rows), 6)
+            assert np.abs(got - full[rows]).max() < 1e-12
+
+    @pytest.mark.parametrize("lengths,queries", QUERY_CASES[::2])
+    def test_query_position_grads_match_finite_differences(self, lengths, queries):
+        _q, k, v = self.inputs(30)
+        rows = self.query_rows(lengths, queries)
+        rng = np.random.default_rng(31)
+        q = Tensor(rng.normal(size=(len(rows), 4)))
+        probe = Tensor(rng.normal(size=(4, 1)))
+
+        def scalar(q_, k_, v_):
+            out = nm.causal_attention(q_, k_, v_, lengths, 2, queries)
+            return nm.tsum(nm.mul(nm.matmul(out, probe), nm.matmul(out, probe)))
+
+        assert fd(lambda t: scalar(t, k, v), q) < 1e-5
+        assert fd(lambda t: scalar(q, t, v), k) < 1e-5
+        assert fd(lambda t: scalar(q, k, t), v) < 1e-5
+
+    def test_query_positions_checked(self):
+        _q, k, v = self.inputs(32)
+        q3 = Tensor(np.ones((3, 4)))
+        # a sequence without a query, a position at or past its sequence's end,
+        # a negative one, and positions for too few sequences
+        for queries in ([[0], [], [0, 1, 2]], [[0], [4], [0]], [[1], [0], [0]], [[0], [-1], [0]], [[0], [0, 1, 2]]):
+            with pytest.raises(ContractError):
+                nm.causal_attention(q3, k, v, self.LENGTHS, 2, queries)
+        with pytest.raises(ShapeError):
+            nm.causal_attention(q3, k, v, self.LENGTHS, 2, [[0], [1], [2, 0, 1]])
 
 
 class TestBackward:
@@ -395,7 +442,7 @@ RECORDED_OPS = [
     ("softplus", "softplus", [(2, 3)], None),
     ("softmax", "softmax", [(2, 3)], lambda op, a: op(a, axis=1)),
     ("layer_norm", "layer_norm", [(2, 3), (3,), (3,)], None),
-    ("cross_entropy", "cross_entropy", [(2, 3)], lambda op, a: op(a, [0, 2], [True, True])),
+    ("cross_entropy", "cross_entropy", [(2, 3)], lambda op, a: op(a, [0, 2])),
     ("tsum", "sum", [(2, 3)], None),
     ("tmean", "mean", [(2, 3)], None),
     ("reshape", "reshape", [(2, 3)], lambda op, a: op(a, (3, 2))),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from fuserec import corpus as cp
 from fuserec import fusion as fz
+from fuserec import lm as lmmod
 from fuserec import numerics as nm
 from fuserec import trainer as tr
 from fuserec.collab import CfTrainConfig, train_cf
@@ -221,6 +223,41 @@ class TestPackedBatch:
         for name in trainable:
             mean = np.mean([one[name] for one in singles], axis=0)
             assert np.abs(packed[name] - mean).max() < 1e-12, name
+
+    @pytest.mark.parametrize("variant", ["CKF", "NCK", "NEN"])
+    def test_read_rows_loss_and_gradients_equal_the_full_logits_loss(self, world, monkeypatch, variant):
+        corpus, cf, lm_cfg = world
+        # two layers, so one runs on every row and the last one on the read rows
+        world2 = (corpus, cf, dataclasses.replace(lm_cfg, n_layers=2))
+        model, batch = make_batch(world2, "TopK", variant=variant, n=5)
+        rng = np.random.default_rng(42)
+        trainable = model.trainable()
+        for _name, param in sorted(trainable.items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+        sched = BetaSchedule(total_steps=10)
+
+        def loss_and_grads():
+            with nm.Tape() as tape:
+                total, _ = batch_loss(batch, model, 3, sched, 1.0, beta_value=0.3)
+                grads = nm.backward(total, tape)
+            return total.item(), {n: nm.grad_of(grads, t) for n, t in trainable.items()}
+
+        def full_logits_pack_loss(model, task, encs, rows):
+            embs = tr.embed(model, [e.seq for e in encs], [e.positions for e in encs], rows)
+            lengths = [len(e.seq) for e in encs]
+            logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, lengths)
+            assert logits.shape[0] == sum(lengths)
+            mask = [m for e in encs for m in e.mask]
+            answers = nm.gather_rows(logits, [i for i, m in enumerate(mask) if m])
+            targets = [t for e in encs for t, m in zip(e.targets, e.mask) if m]
+            return nm.cross_entropy(answers, targets, [sum(e.mask) for e in encs])
+
+        read_loss, read_grads = loss_and_grads()
+        monkeypatch.setattr(tr, "pack_loss", full_logits_pack_loss)
+        full_loss, full_grads = loss_and_grads()
+        assert abs(read_loss - full_loss) < 1e-12
+        for name in trainable:
+            assert np.abs(read_grads[name] - full_grads[name]).max() < 1e-12, name
 
 
 class TestVariantDispatch:
