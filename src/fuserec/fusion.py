@@ -71,7 +71,7 @@ def generate_mapping(pooled: np.ndarray, net: MetaNetwork) -> Tensor:
     differentiable into the generator."""
     if pooled.ndim != 2 or pooled.shape[1] != net.d_cf:
         raise ContractError(f"pooled rows of shape {pooled.shape}, expected (B, {net.d_cf})")
-    h = nm.relu(nm.add(nm.matmul(Tensor(pooled), net.w1), net.b1))
+    h = nm.relu(nm.add(nm.matmul(Tensor(pooled.astype(net.w1.data.dtype, copy=False)), net.w1), net.b1))
     return nm.add(nm.matmul(h, net.w2), net.b2)
 
 
@@ -86,14 +86,16 @@ def project(e: np.ndarray, mappings: Tensor) -> Tensor:
     if e.ndim != 2 or mappings.data.ndim != 2 or e.shape[0] != mappings.shape[0] or mappings.shape[1] % e.shape[1]:
         raise ContractError(f"embeddings of shape {e.shape} vs flattened mappings {mappings.shape}")
     d_cf, d_llm = e.shape[1], mappings.shape[1] // e.shape[1]
-    products = nm.mul(Tensor(np.repeat(e, d_llm, axis=1)), mappings)
-    return nm.matmul(products, _column_sums(d_cf, d_llm))
+    dtype = mappings.data.dtype
+    products = nm.mul(Tensor(np.repeat(e.astype(dtype, copy=False), d_llm, axis=1)), mappings)
+    return nm.matmul(products, _column_sums(d_cf, d_llm, dtype))
 
 
 @functools.lru_cache(maxsize=None)
-def _column_sums(d_cf: int, d_llm: int) -> Tensor:
-    """(d_cf * d_llm) x d_llm 0/1 matrix: entry (i * d_llm + j, j) is 1. Read-only."""
-    sums = Tensor(np.tile(np.eye(d_llm), (d_cf, 1)))
+def _column_sums(d_cf: int, d_llm: int, dtype: np.dtype) -> Tensor:
+    """(d_cf * d_llm) x d_llm 0/1 matrix of the given dtype: entry
+    (i * d_llm + j, j) is 1. Read-only."""
+    sums = Tensor(np.tile(np.eye(d_llm, dtype=dtype), (d_cf, 1)))
     sums.data.flags.writeable = False
     return sums
 
@@ -126,7 +128,7 @@ def generic_map(e: np.ndarray, mapper: GenericMapper) -> Tensor:
     """B rows (B x d_cf) through the affine map: a B x d_llm tensor."""
     if e.ndim != 2 or e.shape[1] != mapper.d_cf:
         raise ContractError(f"embeddings of shape {e.shape}, expected (B, {mapper.d_cf})")
-    return nm.add(nm.matmul(Tensor(e), mapper.w), mapper.b)
+    return nm.add(nm.matmul(Tensor(e.astype(mapper.w.data.dtype, copy=False)), mapper.w), mapper.b)
 
 
 def inject(

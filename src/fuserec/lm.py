@@ -155,11 +155,13 @@ def orth_loss(bank: MultiLoraBank) -> Tensor:
                 gram = nm.matmul(nm.transpose(a1.A), a2.A)
                 r = gram.shape[0]
                 if r not in mask_cache:
-                    mask_cache[r] = Tensor(1.0 - np.eye(r))
+                    mask_cache[r] = Tensor(1.0 - np.eye(r, dtype=a1.A.data.dtype))
                 off = nm.mul(gram, mask_cache[r])
                 terms.append(nm.tsum(nm.mul(off, off)))
     if not terms:
-        return Tensor(0.0)
+        # the zero takes the adapters' dtype, so adding it to a loss promotes nothing
+        dtype = next((ad.A.data.dtype for ad in bank._adapters.values()), nm.DEFAULT_DTYPE)
+        return Tensor(np.zeros((), dtype=dtype))
     return nm.add_n(terms)
 
 

@@ -1,6 +1,9 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Values are numpy arrays (f64 by default, f32 supported). Every operation
+Values are numpy arrays, f64 or f32. An op's result and gradients take its
+operands' dtype, and so does every constant it meets, so a model cast to f32
+computes in f32 throughout: `trainer.train` casts the model it builds, while
+models built anywhere else, the checks' among them, stay f64. Every operation
 returns through `_op`, which records its backward rule on the active Tape when
 the result needs a gradient. `backward` replays the tape in reverse, in a fixed
 order so repeated passes are bitwise identical, and returns gradients for the
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,10 +268,11 @@ def _segment_sizes(lengths: Sequence[int], total: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _future_mask(size: int) -> np.ndarray:
-    """Additive size x size mask, 0 on and below the diagonal and -1e30 above
-    it; its top-left t x t block is the mask for t rows. Read-only."""
-    mask = np.triu(np.full((size, size), -1e30), k=1)
+def _future_mask(size: int, dtype: np.dtype) -> np.ndarray:
+    """Additive size x size mask of the given dtype, 0 on and below the
+    diagonal and -1e30 above it; its top-left t x t block is the mask for t
+    rows. Read-only."""
+    mask = np.triu(np.full((size, size), -1e30, dtype=dtype), k=1)
     mask.flags.writeable = False
     return mask
 
@@ -338,7 +343,7 @@ def causal_attention(
             raise ShapeError(f"causal_attention: {q.shape[0]} query rows for {n} key rows")
         qp = kv
         # masks come in power-of-two sizes, so few are ever built
-        mask = _future_mask(1 << (kv.t - 1).bit_length())[: kv.t, : kv.t]
+        mask = _future_mask(1 << (kv.t - 1).bit_length(), q.data.dtype)[: kv.t, : kv.t]
     else:
         counts = [len(r) for r in queries]
         if len(counts) != len(sizes) or min(counts) < 1:
@@ -351,8 +356,9 @@ def causal_attention(
             row[: len(r)] = r
             if row.min() < 0 or row.max() >= size:
                 raise ContractError(f"query positions {list(r)} outside a sequence of {size} rows")
-        mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0)
-    c = 1.0 / np.sqrt(d // n_heads)
+        mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0).astype(q.data.dtype, copy=False)
+    # a Python float, so scaling f32 scores stays in f32
+    c = 1.0 / math.sqrt(d // n_heads)
     qh, kh, vh = qp.heads(q.data, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     scores *= c
@@ -436,8 +442,9 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], lengths: Sequence[int]
     nll = lse - x[np.arange(t_len), cols]
     cuts = np.cumsum([0, *sizes])
     seg_means = [nll[a:b].mean() for a, b in zip(cuts[:-1], cuts[1:])]
-    # the divisor of each row in the mean over segments of segment means
-    denom = np.repeat(len(sizes) * np.asarray(sizes), sizes)[:, None]
+    # the divisor of each row in the mean over segments of segment means, in
+    # the logits' dtype: an integer divisor would make the gradient f64
+    denom = np.repeat(len(sizes) * np.asarray(sizes), sizes)[:, None].astype(x.dtype)
 
     def bwd(g):
         soft = np.exp(x - m)
@@ -536,53 +543,3 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return _op("concat_cols", parts, np.concatenate([p.data for p in parts], axis=1), bwd)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5, order: int = 2) -> float:
-    """Max relative gap between the tape gradient of f at x and central differences.
-
-    Relative error per coordinate is |analytic - central| / (|analytic| +
-    |central| + 1e-12). f must be deterministic; x.data is perturbed in place
-    and restored, so f may close over x directly. order=4 switches to the
-    five-point stencil, which tolerates larger eps and so a smaller round-off
-    floor; use it when the smallest gradient coordinates sit near the noise
-    level of the plain central difference.
-    """
-    if eps <= 0:
-        raise ContractError("finite_diff_check requires eps > 0")
-    if order not in (2, 4):
-        raise ContractError("order must be 2 or 4")
-    was_grad = x.requires_grad
-    x.requires_grad = True
-    try:
-        with Tape() as tape:
-            loss = f(x)
-            grads = backward(loss, tape)
-        analytic = grad_of(grads, x)
-    finally:
-        x.requires_grad = was_grad
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-
-    def at(i: int, offset: float) -> float:
-        orig = flat[i]
-        flat[i] = orig + offset
-        value = f(x).item()
-        flat[i] = orig
-        return value
-
-    for i in range(flat.size):
-        if order == 2:
-            numeric[i] = (at(i, eps) - at(i, -eps)) / (2.0 * eps)
-        else:
-            numeric[i] = (
-                8.0 * (at(i, eps) - at(i, -eps)) - (at(i, 2 * eps) - at(i, -2 * eps))
-            ) / (12.0 * eps)
-    a = analytic.reshape(-1)
-    rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + 1e-12)
-    return float(rel.max()) if rel.size else 0.0

@@ -167,7 +167,7 @@ class RecModel:
 class Encoded:
     seq: list[int]
     targets: list[int]
-    mask: list[bool]
+    answer_pos: list[int]
     positions: PlaceholderPositions
     n_prompt: int
 
@@ -175,8 +175,9 @@ class Encoded:
 def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> Encoded:
     """Render, tokenize and locate the placeholders of one prompt.
 
-    The answer tokens follow the prompt in seq, and the loss mask covers the
-    positions that predict them; scoring reads only seq[:n_prompt].
+    The answer tokens follow the prompt in seq, and answer_pos lists the
+    positions that predict them, the ones the loss reads; scoring reads only
+    seq[:n_prompt].
     """
     rendered = render_prompt(example, corpus.catalog, inject_collab)
     vocab = corpus.vocab
@@ -184,9 +185,8 @@ def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> 
     answer_ids = vocab.encode(rendered.answer_text, bos=False)
     positions = locate_placeholders(prompt_ids, vocab, expected=inject_collab)
     seq = prompt_ids + answer_ids
-    n_p, n_a = len(prompt_ids), len(answer_ids)
-    mask = [n_p - 1 <= t < n_p + n_a - 1 for t in range(len(seq))]
-    return Encoded(seq, seq[1:] + [vocab.eos], mask, positions, n_p)
+    n_p = len(prompt_ids)
+    return Encoded(seq, seq[1:] + [vocab.eos], list(range(n_p - 1, len(seq) - 1)), positions, n_p)
 
 
 class CfRows(NamedTuple):
@@ -254,10 +254,10 @@ def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with
 
 
 def pack_loss(model: RecModel, task: str, encs: Sequence[Encoded], rows: Sequence[CfRows]) -> Tensor:
-    """Mean over the sequences of each one's masked answer-token loss, from
-    one decoder pass over their pack that reads the masked positions alone."""
+    """Mean over the sequences of each one's answer-token loss, from one
+    decoder pass over their pack that reads the answer positions alone."""
     embs = embed(model, [e.seq for e in encs], [e.positions for e in encs], rows)
-    read = [[t for t, m in enumerate(e.mask) if m] for e in encs]
+    read = [e.answer_pos for e in encs]
     logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, [len(e.seq) for e in encs], read)
     targets = [e.targets[t] for e, positions in zip(encs, read) for t in positions]
     return nm.cross_entropy(logits, targets, [len(r) for r in read])
@@ -391,11 +391,16 @@ def train(
 ) -> TrainResult:
     """Run the full fine-tuning loop and return the trained model plus logs.
 
-    Deterministic for a fixed config and seed: the same bytes come out of
-    to_checkpoint for two identical runs.
+    The model is built f64, as RecModel always is, and cast to f32 at once:
+    pretraining, fine-tuning and validation run in f32, and to_checkpoint
+    stores the f32 tensors, so a loaded model evaluates in f32 too. The checks
+    build their own f64 models. Deterministic for a fixed config and seed: the
+    same bytes come out of to_checkpoint for two identical runs.
     """
     tasks = cfg.tasks or corpus.tasks
     model = RecModel(lm_cfg, cfg.variant, tasks, cf.d_cf, fusion_hidden, cfg.seed)
+    for t in model.named_parameters().values():
+        t.data = t.data.astype(np.float32)
 
     with_collab = model.uses_collab_prompt()
     pools: dict[str, list[Prepared]] = {}

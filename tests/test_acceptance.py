@@ -26,6 +26,7 @@ from fuserec.numerics import Tensor
 from fuserec.prng import SplitMix64
 from fuserec.trainer import BetaSchedule, RecModel, TrainConfig, batch_loss, beta, prepare_example, train
 
+from gradcheck import finite_diff_check
 from synthdata import two_genre_data, write_jsonl
 
 
@@ -69,7 +70,7 @@ def test_criterion_01_gradient_integrity():
             return batch_loss(batch, model, 2, sched, lambda_orth=1.0)[0]
 
         for _n, param in sorted(model.trainable().items()):
-            worst_overall = max(worst_overall, nm.finite_diff_check(loss_fn, param, eps=6e-3, order=4))
+            worst_overall = max(worst_overall, finite_diff_check(loss_fn, param, eps=6e-3, order=4))
     elapsed = time.time() - t0
     ok = worst_overall < 1e-4 and elapsed < 60.0
     report_line(1, "gradient integrity", ok, f"(max rel err {worst_overall:.2e}, {elapsed:.1f}s over 5 seeds)")

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuserec import corpus as cp
@@ -20,7 +21,7 @@ from fuserec.corpus import (
     render_prompt,
 )
 
-from synthdata import two_genre_data
+from synthdata import two_genre_data, write_jsonl
 
 
 def brute_force_k_core(data, k):
@@ -386,6 +387,80 @@ class TestPersistence:
         n_lines = len((out / "catalog.tsv").read_text(encoding="utf-8").splitlines())
         with pytest.raises(CorpusError, match=f"catalog.tsv:{n_lines}: .*unknown escape"):
             cp.load_corpus(str(out))
+
+
+# interactions as a parser returns them: (user, item, timestamp) unique, and a
+# comment either absent or not blank
+_ROWS = st.lists(
+    st.builds(
+        Interaction,
+        st.integers(0, 5),
+        st.integers(0, 9),
+        st.integers(1, 5),
+        st.integers(0, 30),
+        st.none() | st.text(max_size=10).filter(str.strip),
+    ),
+    max_size=30,
+    unique_by=lambda it: (it.user_id, it.item_id, it.timestamp),
+)
+_TITLES = st.lists(st.text(max_size=10).filter(str.strip), min_size=10, max_size=10)
+
+
+def by_user_then_time(rows):
+    return sorted(rows, key=lambda it: (it.user_id, it.timestamp))
+
+
+def examples_or_error(corpus, task, split_name):
+    try:
+        return build_examples(corpus, task, split_name, n_neg=2, seed=1)
+    except CorpusError as exc:
+        return str(exc)
+
+
+class TestParserProperties:
+    @pytest.mark.parametrize("fmt, sep", [("ml-dat", "::"), ("tsv", "\t")])
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_ROWS)
+    def test_id_formats_parse_back_equal(self, tmp_path_factory, fmt, sep, rows):
+        rows = [dataclasses.replace(it, comment=None) for it in rows]
+        path = tmp_path_factory.mktemp("parse") / "data"
+        path.write_text("".join(f"{it.user_id}{sep}{it.item_id}{sep}{it.rating}{sep}{it.timestamp}\n" for it in rows), encoding="utf-8")
+        parsed = parse_interactions(str(path), fmt)
+        assert parsed.interactions == by_user_then_time(rows)
+        assert parsed.catalog == {it.item_id: f"item {it.item_id}" for it in rows}
+        assert parsed.duplicates_dropped == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=_ROWS, titles=_TITLES)
+    def test_review_jsonl_parses_back_equal(self, tmp_path_factory, rows, titles):
+        path = tmp_path_factory.mktemp("parse") / "data.jsonl"
+        write_jsonl(rows, dict(enumerate(titles)), str(path))
+        parsed = parse_interactions(str(path), "review-jsonl")
+        # users and items are numbered in order of first appearance in the file
+        users = {u: i for i, u in enumerate(dict.fromkeys(it.user_id for it in rows))}
+        items = {v: i for i, v in enumerate(dict.fromkeys(it.item_id for it in rows))}
+        want = [dataclasses.replace(it, user_id=users[it.user_id], item_id=items[it.item_id]) for it in rows]
+        assert parsed.interactions == by_user_then_time(want)
+        assert parsed.catalog == {items[v]: titles[v].strip() for v in items}
+        assert parsed.duplicates_dropped == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=_ROWS.filter(bool), titles=_TITLES, history_limit=st.integers(1, 4), seed=st.integers(0, 3))
+    def test_save_load_round_trip_keeps_corpus_and_examples(self, tmp_path_factory, rows, titles, history_limit, seed):
+        rows = by_user_then_time(rows)
+        catalog = {it.item_id: titles[it.item_id] for it in rows}
+        corpus = build_corpus(cp.ParseResult(rows, catalog, 0), SplitSpec(k_core=0, seed=seed), history_limit=history_limit)
+        out = tmp_path_factory.mktemp("corpus")
+        cp.save_corpus(corpus, str(out))
+        loaded = cp.load_corpus(str(out))
+        assert loaded.interactions == corpus.interactions
+        assert loaded.catalog == corpus.catalog
+        assert loaded.split == corpus.split
+        assert (loaded.spec, loaded.history_limit) == (corpus.spec, corpus.history_limit)
+        assert loaded.vocab.tokens == corpus.vocab.tokens
+        for task in corpus.tasks:
+            for split_name in ("train", "valid", "test"):
+                assert examples_or_error(loaded, task, split_name) == examples_or_error(corpus, task, split_name)
 
 
 class TestStats:

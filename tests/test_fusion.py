@@ -7,6 +7,8 @@ from fuserec import fusion as fz
 from fuserec import numerics as nm
 from fuserec.numerics import ContractError, Tensor
 
+from gradcheck import finite_diff_check
+
 
 class TestAttentionPool:
     def test_singleton_history(self):
@@ -83,7 +85,7 @@ class TestGenerateMapping:
             return nm.tsum(nm.mul(w, w))
 
         for param in (net.w1, net.b1, net.w2, net.b2):
-            assert nm.finite_diff_check(lambda _t, p=param: norm_sq(p), param) < 1e-4
+            assert finite_diff_check(lambda _t, p=param: norm_sq(p), param) < 1e-4
 
     def test_output_reshapes_to_d_cf_by_d_llm(self):
         rng = np.random.default_rng(5)
@@ -189,7 +191,7 @@ class TestComposition:
             return nm.tsum(nm.matmul(emb, probe))
 
         for param in (net.w1, net.b1, net.w2, net.b2):
-            assert nm.finite_diff_check(lambda _t, p=param: scalar(p), param) < 1e-4
+            assert finite_diff_check(lambda _t, p=param: scalar(p), param) < 1e-4
 
 
 class TestVariantStructure:

@@ -6,6 +6,8 @@ from fuserec import numerics as nm
 from fuserec.lm import LmConfig, LoraAdapter, MultiLoraBank, lora_apply, orth_loss
 from fuserec.numerics import ContractError, ShapeError, Tensor
 
+from gradcheck import finite_diff_check
+
 TASKS4 = ("RP", "CTR", "TopK", "Explain")
 
 
@@ -40,8 +42,8 @@ class TestLoraApply:
         w = Tensor(rng.normal(size=(4, 4)))
         adapter = LoraAdapter(4, 2, rng)
         adapter.B = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        assert nm.finite_diff_check(lambda _t: nm.tsum(lora_apply(x, w, adapter)), adapter.A) < 1e-5
-        assert nm.finite_diff_check(lambda _t: nm.tsum(lora_apply(x, w, adapter)), adapter.B) < 1e-5
+        assert finite_diff_check(lambda _t: nm.tsum(lora_apply(x, w, adapter)), adapter.A) < 1e-5
+        assert finite_diff_check(lambda _t: nm.tsum(lora_apply(x, w, adapter)), adapter.B) < 1e-5
         with nm.Tape() as tape:
             loss = nm.tsum(lora_apply(x, w, adapter))
             grads = nm.backward(loss, tape)

@@ -6,9 +6,11 @@ import pytest
 from fuserec import numerics as nm
 from fuserec.numerics import ContractError, NumericError, ShapeError, Tensor
 
+from gradcheck import finite_diff_check
+
 
 def fd(f, x, eps=1e-5):
-    return nm.finite_diff_check(f, x, eps=eps)
+    return finite_diff_check(f, x, eps=eps)
 
 
 class TestMatmul:
@@ -357,7 +359,13 @@ class TestFiniteDiffCheck:
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ContractError):
-            nm.finite_diff_check(lambda t: nm.tsum(t), Tensor([[1.0]]), eps=0.0)
+            finite_diff_check(lambda t: nm.tsum(t), Tensor([[1.0]]), eps=0.0)
+
+    def test_f32_input_refused(self):
+        # a central difference of f32 losses measures round-off, not the gradient
+        x = Tensor(np.array([[1.0, -2.0]], dtype=np.float32))
+        with pytest.raises(ContractError, match="f64"):
+            finite_diff_check(lambda t: nm.tsum(nm.mul(t, t)), x)
 
 
 class TestElementwiseOps:

@@ -1,12 +1,15 @@
 import dataclasses
 import gc
+import itertools
 import math
 import os
 
 import numpy as np
 import pytest
 
+from fuserec import checkpoint as ckpt
 from fuserec import corpus as cp
+from fuserec import evaluate as ev
 from fuserec import fusion as fz
 from fuserec import lm as lmmod
 from fuserec import numerics as nm
@@ -18,6 +21,7 @@ from fuserec.numerics import ContractError, Tensor
 from fuserec.optim import AdamW
 from fuserec.trainer import BetaSchedule, RecModel, TrainConfig, batch_loss, beta, prepare_example
 
+from gradcheck import finite_diff_check
 from synthdata import two_genre_data
 
 
@@ -139,8 +143,8 @@ class TestBatchLoss:
         base, _ = batch_loss(batch, model, 0, sched, 1.0)
         prep = batch[0]
         for enc in (prep.plain, prep.collab):
-            for t, masked_in in enumerate(enc.mask):
-                if not masked_in:
+            for t in range(len(enc.targets)):
+                if t not in enc.answer_pos:
                     enc.targets[t] = (enc.targets[t] + 5) % model.lm_cfg.vocab_size
         scrambled, _ = batch_loss(batch, model, 0, sched, 1.0)
         assert scrambled.item() == base.item()
@@ -180,7 +184,7 @@ class TestBatchLoss:
 
         worst = 0.0
         for name, param in sorted(model.trainable().items()):
-            err = nm.finite_diff_check(loss_fn, param, eps=6e-3, order=4)
+            err = finite_diff_check(loss_fn, param, eps=6e-3, order=4)
             worst = max(worst, err)
             assert err < 1e-4, f"{name}: {err}"
         assert worst < 1e-4
@@ -247,10 +251,10 @@ class TestPackedBatch:
             lengths = [len(e.seq) for e in encs]
             logits = lmmod.forward(embs, task, model.params, model.bank, model.lm_cfg, lengths)
             assert logits.shape[0] == sum(lengths)
-            mask = [m for e in encs for m in e.mask]
-            answers = nm.gather_rows(logits, [i for i, m in enumerate(mask) if m])
-            targets = [t for e in encs for t, m in zip(e.targets, e.mask) if m]
-            return nm.cross_entropy(answers, targets, [sum(e.mask) for e in encs])
+            starts = itertools.accumulate(lengths[:-1], initial=0)
+            answers = nm.gather_rows(logits, [s + t for s, e in zip(starts, encs) for t in e.answer_pos])
+            targets = [e.targets[t] for e in encs for t in e.answer_pos]
+            return nm.cross_entropy(answers, targets, [len(e.answer_pos) for e in encs])
 
         read_loss, read_grads = loss_and_grads()
         monkeypatch.setattr(tr, "pack_loss", full_logits_pack_loss)
@@ -449,3 +453,66 @@ class TestTrainLoop:
         lm_cfg = LmConfig(n_layers=1, n_heads=1, d_model=4, vocab_size=len(corpus.vocab), max_len=96, rank=1)
         with pytest.raises(cp.CorpusError, match="Explain task requires comment data"):
             tr.train(corpus, cf, lm_cfg, small_train_cfg(tasks=("Explain",)), fusion_hidden=2)
+
+
+class TestPrecision:
+    """train makes its model f32, checkpoints store it as it is, and a model
+    built by hand (as the checks build theirs) stays f64."""
+
+    @pytest.fixture
+    def f64_ops(self, monkeypatch):
+        """Names of the ops whose result or input gradient comes out f64."""
+        found = []
+        real = nm._op
+
+        def watched(name, inputs, value, backward):
+            if np.asarray(value).dtype == np.float64:
+                found.append(f"{name} forward")
+
+            def watched_backward(g):
+                grads = backward(g)
+                found.extend(f"{name} backward" for gin in grads if gin is not None and gin.dtype == np.float64)
+                return grads
+
+            return real(name, inputs, value, watched_backward)
+
+        monkeypatch.setattr(nm, "_op", watched)
+        return found
+
+    @pytest.mark.parametrize("variant", sorted(tr.VARIANTS))
+    def test_train_and_evaluate_compute_in_f32(self, world, f64_ops, variant):
+        corpus, cf, lm_cfg = world
+        tasks = ("CTR",) if variant == "S" else corpus.tasks
+        cfg = small_train_cfg(variant=variant, tasks=tasks, pretrain_steps=2)
+        result = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
+        ev.evaluate_model(result.model, corpus, cf, n_neg=3, seed=5)
+        assert result.steps > 0
+        assert sorted(set(f64_ops)) == []
+
+    def test_checkpoint_stores_and_serves_f32(self, world, tmp_path):
+        corpus, cf, lm_cfg = world
+        cfg = small_train_cfg(tasks=("RP", "CTR"))
+        result = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4)
+        path = str(tmp_path / "model.ckpt")
+        tr.to_checkpoint(result, cfg, path)
+        # load_tensors reads dtype code 1 as f32 and code 0 as f64
+        assert {a.dtype for a in ckpt.load_tensors(path).values()} == {np.dtype(np.float32)}
+        loaded = tr.from_checkpoint(path)
+        assert {t.data.dtype for t in loaded.named_parameters().values()} == {np.dtype(np.float32)}
+        want = ev.evaluate_model(result.model, corpus, cf, n_neg=3, seed=5)
+        assert ev.evaluate_model(loaded, corpus, cf, n_neg=3, seed=5) == want
+
+    def test_f64_checkpoint_still_loads_and_evaluates(self, world, tmp_path):
+        corpus, cf, lm_cfg = world
+        cfg = small_train_cfg(tasks=("RP", "CTR"))
+        model = RecModel(lm_cfg, cfg.variant, cfg.tasks, cf.d_cf, 4, seed=5)
+        rng = np.random.default_rng(6)
+        for _name, param in sorted(model.trainable().items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+        path = str(tmp_path / "model.ckpt")
+        tr.to_checkpoint(tr.TrainResult(model=model), cfg, path)
+        assert {a.dtype for a in ckpt.load_tensors(path).values()} == {np.dtype(np.float64)}
+        loaded = tr.from_checkpoint(path)
+        assert {t.data.dtype for t in loaded.named_parameters().values()} == {np.dtype(np.float64)}
+        want = ev.evaluate_model(model, corpus, cf, n_neg=3, seed=5)
+        assert ev.evaluate_model(loaded, corpus, cf, n_neg=3, seed=5) == want
