@@ -296,7 +296,8 @@ class Corpus:
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.item_index = {v: i for i, v in enumerate(self.item_ids)}
         self.by_user = _by_user(interactions)
-        self.has_comments = any(it.comment is not None for it in interactions)
+        # an empty comment is no comment: save_corpus writes both as an empty field
+        self.has_comments = any(it.comment for it in interactions)
 
     @property
     def tasks(self) -> tuple[str, ...]:
@@ -316,7 +317,7 @@ def build_corpus(parsed: ParseResult, spec: SplitSpec, history_limit: int = 10) 
     kept_items = {it.item_id for it in kept}
     catalog = {v: t for v, t in parsed.catalog.items() if v in kept_items}
     texts = [t for t in catalog.values()]
-    texts.extend(it.comment for it in kept if it.comment is not None)
+    texts.extend(it.comment for it in kept if it.comment)
     texts.extend(TEMPLATE_TEXTS)
     vocab = Vocab.build(texts)
     return Corpus(kept, catalog, split, spec, vocab, history_limit)

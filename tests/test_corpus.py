@@ -361,6 +361,17 @@ class TestPersistence:
         loaded = cp.load_corpus(str(out))
         assert loaded.interactions[0].comment == "has\ttab and\nnewline"
 
+    @pytest.mark.parametrize("others", [None, "good read"], ids=["only-empty", "with-a-comment"])
+    def test_empty_comment_counts_as_none_across_round_trip(self, tmp_path, others):
+        # save_corpus writes "" and None alike, so the corpus must read them alike before it too
+        interactions = [Interaction(0, v, 4, v, "" if v == 0 else others) for v in range(4)]
+        corpus = build_corpus(cp.ParseResult(interactions, {v: f"item {v}" for v in range(4)}, 0), SplitSpec(k_core=0))
+        cp.save_corpus(corpus, str(tmp_path / "c"))
+        loaded = cp.load_corpus(str(tmp_path / "c"))
+        assert corpus.has_comments == (others is not None)
+        assert (loaded.has_comments, loaded.tasks) == (corpus.has_comments, corpus.tasks)
+        assert loaded.vocab.tokens == corpus.vocab.tokens
+
     @given(st.text(alphabet=st.sampled_from("ab\\ntr\t\n\r")) | st.text())
     def test_unescape_undoes_escape(self, text):
         escaped = cp._escape(text)

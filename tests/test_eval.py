@@ -122,13 +122,80 @@ class TestAnswerDistribution:
         monkeypatch.setattr(model.fusion, "map_item", counting("item", model.fusion.map_item))
         cand_ids, _scores = ev.candidate_scores(model, corpus, cf, ex)
         assert len(cand_ids) == 5
-        assert calls == {"render": 1, "user": 1, "item": 5}
+        # the five candidates go in packs of 4 + 1, with one map_item call each
+        assert calls == {"render": 1, "user": 1, "item": 2}
 
     def test_missing_answer_token_rejected(self, setup):
         corpus, cf, model = setup
         ex = build_examples(corpus, "RP", "test", seed=1)[0]
         with pytest.raises(ContractError):
             ev.answer_distribution(model, corpus, cf, ex, ("definitely-not-a-token",))
+
+
+class TestPackedScoring:
+    """candidate_scores runs a TopK example's candidates ev.TOPK_PACK to a
+    decoder pass; each score must be the one a pass over that candidate's
+    sequence alone gives."""
+
+    N_NEG = 10  # 11 candidates: packs of 4 + 4 + 3
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        interactions, catalog = two_genre_data(n_users=12, n_items=20, per_user=8, seed=21)
+        # titles of 3, 4 and 5 tokens, so a pack's sequences differ in length
+        catalog = {v: title + " sequel" * (v % 3) for v, title in catalog.items()}
+        corpus = build_corpus(cp.ParseResult(interactions, catalog, 0), SplitSpec(k_core=0, seed=2))
+        rng = np.random.default_rng(3)
+        cf = CfEmbeddings(rng.normal(size=(len(corpus.user_ids), 6)), rng.normal(size=(len(corpus.item_ids), 6)))
+        lm_cfg = LmConfig(n_layers=2, n_heads=2, d_model=8, vocab_size=len(corpus.vocab), max_len=160, rank=2)
+        examples = build_examples(corpus, "TopK", "test", n_neg=self.N_NEG, seed=1)[:3]
+        for ex in examples:
+            lengths = [len(corpus.vocab.encode(corpus.catalog[c], bos=False)) for c in ex.candidate_set]
+            packs = [lengths[i : i + ev.TOPK_PACK] for i in range(0, len(lengths), ev.TOPK_PACK)]
+            assert [len(p) for p in packs] == [4, 4, 3]
+            assert any(len(set(p)) > 1 for p in packs)
+        return corpus, cf, lm_cfg, examples
+
+    @staticmethod
+    def one_pass_per_candidate(model, corpus, cf, ex):
+        enc = tr.encode_prompt(ex, corpus, model.uses_collab_prompt())
+        want = []
+        for cand in ex.candidate_set:
+            title = corpus.vocab.encode(corpus.catalog[cand], bos=False)
+            embs = tr.embed(model, [enc.seq[: enc.n_prompt] + title], [enc.positions], tr.cf_rows(ex, corpus, cf, [cand]))
+            logits = ev.lmmod.forward(embs, ex.task, model.params, model.bank, model.lm_cfg).data[enc.n_prompt - 1 : -1]
+            m = logits.max(axis=1, keepdims=True)
+            logp = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+            want.append(logp[np.arange(len(title)), title].mean())
+        return np.asarray(want)
+
+    @pytest.mark.parametrize("variant", ["CKF", "NPM", "NCK"])
+    def test_packed_scores_equal_one_pass_per_candidate(self, ragged, variant):
+        corpus, cf, lm_cfg, examples = ragged
+        # non-zero adapter and fusion weights, so they take part
+        model = RecModel(lm_cfg, variant, corpus.tasks, 6, 4, seed=6)
+        rng = np.random.default_rng(7)
+        for _name, param in sorted(model.trainable().items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape)
+        for ex in examples:
+            cand_ids, got = ev.candidate_scores(model, corpus, cf, ex)
+            assert cand_ids == list(ex.candidate_set)
+            assert got.dtype == np.float64
+            assert np.abs(got - self.one_pass_per_candidate(model, corpus, cf, ex)).max() < 1e-12
+
+    def test_f32_model_from_train_agrees_with_one_pass_per_candidate(self, ragged):
+        corpus, cf, lm_cfg, examples = ragged
+        cfg = tr.TrainConfig(lr=1e-3, epochs=1, batch_size=4, seed=11, n_neg=3, tasks=("TopK",))
+        model = tr.train(corpus, cf, lm_cfg, cfg, fusion_hidden=4).model
+        # one epoch barely moves the adapters and meta-networks from their
+        # start; larger f32 weights make sure they take part
+        rng = np.random.default_rng(8)
+        for _name, param in sorted(model.trainable().items()):
+            param.data = rng.normal(0.0, 0.1, size=param.data.shape).astype(np.float32)
+        for ex in examples:
+            _cands, got = ev.candidate_scores(model, corpus, cf, ex)
+            assert got.dtype == np.float32
+            assert np.abs(got - self.one_pass_per_candidate(model, corpus, cf, ex)).max() < 1e-5
 
 
 class TestPredictors:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuserec import numerics as nm
 from fuserec.numerics import ContractError, NumericError, ShapeError, Tensor
@@ -299,6 +301,53 @@ class TestCausalAttention:
                 nm.causal_attention(q3, k, v, self.LENGTHS, 2, queries)
         with pytest.raises(ShapeError):
             nm.causal_attention(q3, k, v, self.LENGTHS, 2, [[0], [1], [2, 0, 1]])
+
+
+@st.composite
+def _attention_packs(draw):
+    """A pack of 1-4 sequences of 1-12 rows (all one length or each its own),
+    a head count that divides the width, one non-empty list of distinct query
+    positions per sequence, in any order, and a seed for the values."""
+    n_seq = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 12))] * n_seq
+    else:
+        lengths = draw(st.lists(st.integers(1, 12), min_size=n_seq, max_size=n_seq))
+    n_heads = draw(st.integers(1, 3))
+    d = n_heads * draw(st.integers(1, 3))
+    queries = [draw(st.lists(st.integers(0, t_len - 1), min_size=1, max_size=t_len, unique=True)) for t_len in lengths]
+    return lengths, n_heads, d, queries, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCausalAttentionProperties:
+    """Random packs against the per-sequence, per-head loop reference."""
+
+    @staticmethod
+    def tensors(lengths, d, seed):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=(sum(lengths), d))) for _ in range(3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(pack=_attention_packs())
+    def test_every_row_and_query_subsets_match_the_loops(self, pack):
+        lengths, n_heads, d, queries, seed = pack
+        q, k, v = self.tensors(lengths, d, seed)
+        want = _attention_by_loops(q.data, k.data, v.data, lengths, n_heads)
+        assert np.abs(nm.causal_attention(q, k, v, lengths, n_heads).data - want).max() < 1e-12
+        rows = TestCausalAttention.query_rows(lengths, queries)
+        got = nm.causal_attention(Tensor(q.data[rows]), k, v, lengths, n_heads, queries).data
+        assert got.shape == (len(rows), d)
+        assert np.abs(got - want[rows]).max() < 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(pack=_attention_packs(), data=st.data())
+    def test_a_sequence_without_queries_is_rejected(self, pack, data):
+        lengths, n_heads, d, queries, seed = pack
+        _q, k, v = self.tensors(lengths, d, seed)
+        queries[data.draw(st.integers(0, len(lengths) - 1))] = []
+        rows = TestCausalAttention.query_rows(lengths, queries)
+        with pytest.raises(ContractError):
+            nm.causal_attention(Tensor(np.ones((len(rows), d))), k, v, lengths, n_heads, queries)
 
 
 class TestBackward:
