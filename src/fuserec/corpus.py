@@ -491,18 +491,24 @@ def render_prompt(example: TaskExample, catalog: dict[int, str], inject_collab: 
 # ---------------------------------------------------------------------------
 
 _MARK_RE = re.compile(r"(<user>|<item>)")
-_WORD_CLEAN_RE = re.compile(r"[^a-z0-9]+")
+_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase, punctuation to spaces, collapsed whitespace; markers survive."""
+def words(text: str) -> list[str]:
+    """The tokens of a text: each marker whole, and between markers the runs
+    of ASCII letters and digits of the lowercased text."""
     out: list[str] = []
     for part in _MARK_RE.split(text):
         if part in (USER_MARK, ITEM_MARK):
             out.append(part)
         else:
-            out.extend(_WORD_CLEAN_RE.sub(" ", part.lower()).split())
-    return " ".join(out)
+            out.extend(_WORD_RE.findall(part.lower()))
+    return out
+
+
+def normalize_text(text: str) -> str:
+    """Lowercase, punctuation to spaces, collapsed whitespace; markers survive."""
+    return " ".join(words(text))
 
 
 class Vocab:
@@ -528,16 +534,16 @@ class Vocab:
 
     @classmethod
     def build(cls, texts) -> "Vocab":
-        words: set[str] = set()
+        seen: set[str] = set()
         for text in texts:
-            words.update(normalize_text(text).split())
-        words -= set(SPECIAL_TOKENS)
-        return cls(list(SPECIAL_TOKENS) + sorted(words))
+            seen.update(words(text))
+        seen -= set(SPECIAL_TOKENS)
+        return cls(list(SPECIAL_TOKENS) + sorted(seen))
 
     def encode(self, text: str, bos: bool = True) -> list[int]:
-        ids = [self.bos] if bos else []
-        ids.extend(self.index.get(tok, self.unk) for tok in normalize_text(text).split())
-        return ids
+        index, unk = self.index, self.unk
+        ids = [index.get(tok, unk) for tok in words(text)]
+        return [self.bos, *ids] if bos else ids
 
     def decode(self, ids) -> str:
         keep = {self.pad, self.bos, self.eos, self.sep}

@@ -5,14 +5,16 @@ attention, GELU feed-forward, tied output projection). One pass runs a pack
 of sequences laid end to end as rows, kept apart by their lengths, and returns
 logits for the positions the caller reads: the last layer computes keys and
 values for every row and the rest only for the read rows. Adapters
-add a trainable rank-limited delta x @ A @ B on top of the frozen
-projections: query projections get one adapter per task, key/value/output
-share one adapter across tasks. An orthogonality penalty pushes different tasks' query
-A matrices toward disjoint column spaces.
+add a trainable rank-limited delta A @ B to the frozen projections, applied as
+x @ (W + A @ B), so the delta costs no row-sized work: query projections get
+one adapter per task, key/value/output share one adapter across tasks. An
+orthogonality penalty, one Gram matrix per layer, pushes different tasks'
+query A matrices toward disjoint column spaces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -50,9 +52,10 @@ class LmConfig:
 
 
 class LoraAdapter:
-    """Trainable low-rank delta for one frozen projection: x W + (x A) B.
+    """Trainable low-rank delta for one frozen projection W: x (W + A B),
+    which equals x W + (x A) B.
 
-    B starts at zero so the delta starts as identity; A is a small Gaussian.
+    B starts at zero so the delta starts at zero; A is a small Gaussian.
     """
 
     def __init__(self, d: int, rank: int, rng: np.random.Generator):
@@ -61,13 +64,14 @@ class LoraAdapter:
 
 
 def lora_apply(x: Tensor, w: Tensor, adapter: LoraAdapter | None) -> Tensor:
-    """x through a frozen projection plus the adapter delta when present."""
+    """x through a frozen projection plus the adapter delta when present, as
+    x @ (W + A @ B): one product with x's rows, the rest weight-sized. With
+    B = 0 this is exactly x @ W."""
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"lora_apply dimension mismatch: {x.shape} x {w.shape}")
-    base = nm.matmul(x, w)
     if adapter is None:
-        return base
-    return nm.add(base, nm.matmul(nm.matmul(x, adapter.A), adapter.B))
+        return nm.matmul(x, w)
+    return nm.matmul(x, nm.add(w, nm.matmul(adapter.A, adapter.B)))
 
 
 def adapter_owner(mode: str, proj: str, task: str) -> str | None:
@@ -135,29 +139,36 @@ class MultiLoraBank:
         return out
 
 
+@functools.lru_cache(maxsize=None)
+def _cross_task_mask(n_tasks: int, rank: int, dtype: np.dtype) -> Tensor:
+    """Read-only 0/1 mask over the Gram of n_tasks side-by-side blocks of rank
+    columns: 1 where row and column belong to different tasks and to
+    different columns within their blocks."""
+    task = np.repeat(np.arange(n_tasks), rank)
+    col = np.tile(np.arange(rank), n_tasks)
+    mask = ((task[:, None] != task) & (col[:, None] != col)).astype(dtype)
+    mask.flags.writeable = False
+    return Tensor(mask)
+
+
 def orth_loss(bank: MultiLoraBank) -> Tensor:
     """Sum over layers and ordered task pairs of the squared off-diagonal
     entries of the cross-Gram between the pairs' query A matrices.
 
-    Differentiates into the A matrices only; returns an exact scalar zero when
-    fewer than two task-specific query adapters exist.
+    Per layer that is one Gram S^T S of the task query A's side by side,
+    masked to its cross-task off-diagonal entries. Differentiates into the A
+    matrices only; returns an exact scalar zero when fewer than two
+    task-specific query adapters exist.
     """
     terms: list[Tensor] = []
-    mask_cache: dict[int, Tensor] = {}
     for layer in range(bank.n_layers):
         ads = bank.task_query_adapters(layer)
         if len(ads) < 2:
             continue
-        for t1, a1 in ads:
-            for t2, a2 in ads:
-                if t1 == t2:
-                    continue
-                gram = nm.matmul(nm.transpose(a1.A), a2.A)
-                r = gram.shape[0]
-                if r not in mask_cache:
-                    mask_cache[r] = Tensor(1.0 - np.eye(r, dtype=a1.A.data.dtype))
-                off = nm.mul(gram, mask_cache[r])
-                terms.append(nm.tsum(nm.mul(off, off)))
+        s = nm.concat_cols([ad.A for _t, ad in ads])
+        mask = _cross_task_mask(len(ads), ads[0][1].A.shape[1], s.data.dtype)
+        off = nm.mul(nm.matmul(nm.transpose(s), s), mask)
+        terms.append(nm.tsum(nm.mul(off, off)))
     if not terms:
         # the zero takes the adapters' dtype, so adding it to a loss promotes nothing
         dtype = next((ad.A.data.dtype for ad in bank._adapters.values()), nm.DEFAULT_DTYPE)

@@ -229,16 +229,32 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU: 0.5 x (1 + tanh(C (x + 0.044715 x^3)))."""
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    # the tanh argument as x (C + 0.044715 C x^2), then t in the same buffer
+    t = x2 * (0.044715 * _GELU_C)
+    t += _GELU_C
+    t *= x
+    np.tanh(t, out=t)
+    value = t + 1.0
+    value *= x
+    value *= 0.5
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2), factored as
+        # 0.5 (1 + t) (1 + x (1 - t) C (1 + 0.134145 x^2))
+        gx = x2 * (0.134145 * _GELU_C)
+        gx += _GELU_C
+        gx *= x
+        gx *= 1.0 - t
+        gx += 1.0
+        gx *= 1.0 + t
+        gx *= g
+        gx *= 0.5
+        return (gx,)
 
-    return _op("gelu", (a,), 0.5 * x * (1.0 + t), bwd)
+    return _op("gelu", (a,), value, bwd)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -357,35 +373,47 @@ def causal_attention(
             if row.min() < 0 or row.max() >= size:
                 raise ContractError(f"query positions {list(r)} outside a sequence of {size} rows")
         mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0).astype(q.data.dtype, copy=False)
-    # a Python float, so scaling f32 scores stays in f32
+    # scale the query rows, not the scores; a Python float keeps f32 in f32
     c = 1.0 / math.sqrt(d // n_heads)
-    qh, kh, vh = qp.heads(q.data, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
+    qh, kh, vh = qp.heads(q.data * c, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    scores *= c
     if not (np.isfinite(scores).all() and np.isfinite(v.data).all()):
         raise NumericError("causal attention over non-finite scores or values")
-    # softmax over the last axis, in place: these arrays are the op's largest
+    # softmax over the last axis, in place: these arrays are the op's largest;
+    # it is normalized after the value product, on the (Q, d_head) rows
     scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
-    att = np.exp(scores, out=scores)
-    att /= att.sum(axis=-1, keepdims=True)
+    e = np.exp(scores, out=scores)
+    inv = 1.0 / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(e, vh)
+    out *= inv
 
     def bwd(g):
-        gh = qp.heads(g, n_heads)
+        # att = inv * e row by row, so inv goes on the (Q, d_head) rows of g,
+        # and the score gradient att * (gs - sum(gs * att)) needs no att array
+        gh = qp.heads(g, n_heads) * inv
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        gs -= (gs * att).sum(axis=-1, keepdims=True)
-        gs *= att
-        gs *= c
+        gs -= (gs * e).sum(axis=-1, keepdims=True) * inv
+        gs *= e
+        # qh holds the scaled queries, so only the query gradient takes c
         return (
-            qp.packed(np.matmul(gs, kh)) if q.requires_grad else None,
+            qp.packed(np.matmul(gs, kh)) * c if q.requires_grad else None,
             kv.packed(np.matmul(gs.transpose(0, 1, 3, 2), qh)) if k.requires_grad else None,
-            kv.packed(np.matmul(att.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
+            kv.packed(np.matmul(e.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
         )
 
-    return _op("causal_attention", (q, k, v), qp.packed(np.matmul(att, vh)), bwd)
+    return _op("causal_attention", (q, k, v), qp.packed(out), bwd)
 
 
 LAYER_NORM_EPS = 1e-5
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_column(d: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only d x 1 column of 1/d in the given dtype: a row-mean as a product."""
+    col = np.full((d, 1), 1.0 / d, dtype=dtype)
+    col.flags.writeable = False
+    return col
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -395,28 +423,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have length {d}, got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xh = xc * inv
+    col = _mean_column(d, x.data.dtype)
+    # xh is centred and normalized in one buffer, which the backward reads
+    xh = x.data - x.data @ col
+    var = np.square(xh) @ col
+    var += LAYER_NORM_EPS
+    inv = 1.0 / np.sqrt(var)
+    xh *= inv
+    value = xh * gain.data
+    value += bias.data
 
     def bwd(g):
         gx = None
         if x.requires_grad:
             gh = g * gain.data
-            gx = inv * (
-                gh
-                - gh.mean(axis=1, keepdims=True)
-                - xh * (gh * xh).mean(axis=1, keepdims=True)
-            )
+            gx = gh - gh @ col
+            gh *= xh
+            gx -= xh * (gh @ col)
+            gx *= inv
         return (
             gx,
             (g * xh).sum(axis=0) if gain.requires_grad else None,
             g.sum(axis=0) if bias.requires_grad else None,
         )
 
-    return _op("layer_norm", (x, gain, bias), xh * gain.data + bias.data, bwd)
+    return _op("layer_norm", (x, gain, bias), value, bwd)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int], lengths: Sequence[int] | None = None) -> Tensor:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -329,6 +330,37 @@ class TestVocab:
         ids = vocab.encode(f"before {cp.USER_MARK} mid {cp.ITEM_MARK} after", bos=False)
         assert vocab.user_unk in ids and vocab.item_unk in ids
         assert vocab.user_unk != vocab.item_unk
+
+
+def _reference_tokens(text):
+    """The tokenizer as `normalize_text` then split: cut out the markers,
+    lowercase the rest, turn every run of non-[a-z0-9] into one space."""
+    out = []
+    for part in re.split(r"(<user>|<item>)", text):
+        if part in (cp.USER_MARK, cp.ITEM_MARK):
+            out.append(part)
+        else:
+            out.extend(re.sub(r"[^a-z0-9]+", " ", part.lower()).split())
+    return " ".join(out).split()
+
+
+# arbitrary Unicode with markers, near-markers, uppercase, the Kelvin sign
+# (lowercases to ASCII k) and dotted capital I (lowercases to i + U+0307)
+_PROMPT_TEXT = st.lists(
+    st.one_of(st.text(), st.sampled_from(["<user>", "<item>", "<User>", "<item", "K", "İ", "ABC", " x9 ", "."])),
+    max_size=12,
+).map("".join)
+
+
+class TestTokenizerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(text=_PROMPT_TEXT, known=_PROMPT_TEXT, bos=st.booleans())
+    def test_encode_and_build_match_the_reference_tokenizer(self, text, known, bos):
+        vocab = Vocab.build([known])
+        assert vocab.tokens == list(cp.SPECIAL_TOKENS) + sorted(set(_reference_tokens(known)) - set(cp.SPECIAL_TOKENS))
+        want = [vocab.bos] * bos + [vocab.index.get(tok, vocab.unk) for tok in _reference_tokens(text)]
+        assert vocab.encode(text, bos=bos) == want
+        assert cp.normalize_text(text) == " ".join(_reference_tokens(text))
 
 
 class TestPersistence:

@@ -53,6 +53,38 @@ class TestLoraApply:
         with pytest.raises(ShapeError):
             lora_apply(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 4))), None)
 
+    def test_merged_projection_equals_the_two_path_sum(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(9, 6)))
+        w = Tensor(rng.normal(size=(6, 6)))
+        adapter = LoraAdapter(6, 3, rng)
+        adapter.B = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        want = x.data @ w.data + (x.data @ adapter.A.data) @ adapter.B.data
+        assert np.abs(lora_apply(x, w, adapter).data - want).max() < 1e-12
+        probe = Tensor(rng.normal(size=(9, 6)))
+
+        def scalar(_t):
+            return nm.tsum(nm.mul(lora_apply(x, w, adapter), probe))
+
+        for t in (x, adapter.A, adapter.B):
+            assert finite_diff_check(scalar, t) < 1e-6
+
+    def test_one_row_sized_product(self, monkeypatch):
+        """Only x @ (W + A B) has x's rows: the delta costs no row-sized op."""
+        shapes = []
+        real = nm._op
+
+        def watched(name, inputs, value, backward):
+            shapes.append((name, np.shape(value)))
+            return real(name, inputs, value, backward)
+
+        monkeypatch.setattr(nm, "_op", watched)
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(11, 6)), requires_grad=True)
+        lora_apply(x, Tensor(rng.normal(size=(6, 6))), LoraAdapter(6, 3, rng))
+        assert [name for name, shape in shapes if shape[0] == 11] == ["matmul"]
+        assert len(shapes) == 3
+
 
 class TestBankLayout:
     def test_multi_lora_adapter_counts(self):
@@ -181,6 +213,33 @@ class TestOrthLoss:
         b_ids = {bank.adapter(0, "q", t).B.node_id for t in ("RP", "CTR")}
         assert a_ids <= set(grads)
         assert not (b_ids & set(grads))
+
+    @staticmethod
+    def pairwise_loss(bank):
+        """The loss as a loop over layers and ordered task pairs, one cross-Gram
+        A1^T A2 each, its off-diagonal entries squared and summed."""
+        total = 0.0
+        for layer in range(bank.n_layers):
+            ads = bank.task_query_adapters(layer)
+            for t1, a1 in ads:
+                for t2, a2 in ads:
+                    if t1 != t2:
+                        gram = a1.A.data.T @ a2.A.data
+                        total += float(((gram * (1.0 - np.eye(gram.shape[0]))) ** 2).sum())
+        return total
+
+    @pytest.mark.parametrize("mode", ["multi-lora", "per-task-full"])
+    @pytest.mark.parametrize("n_tasks", [2, 3])
+    def test_one_gram_equals_the_pairwise_loop(self, mode, n_tasks):
+        rng = np.random.default_rng(9)
+        bank = MultiLoraBank(tiny_cfg(rank=3), TASKS4[:n_tasks], mode, rng)
+        query_as = [ad.A for layer in range(2) for _t, ad in bank.task_query_adapters(layer)]
+        assert len(query_as) == 2 * n_tasks
+        for a in query_as:
+            a.data = rng.normal(size=a.shape)
+        assert orth_loss(bank).item() == pytest.approx(self.pairwise_loss(bank), rel=1e-12)
+        for a in query_as:
+            assert finite_diff_check(lambda _t: orth_loss(bank), a) < 1e-6
 
     def test_descent_reduces_loss_by_ninety_percent(self):
         rng = np.random.default_rng(6)

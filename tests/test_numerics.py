@@ -350,6 +350,115 @@ class TestCausalAttentionProperties:
             nm.causal_attention(Tensor(np.ones((len(rows), d))), k, v, lengths, n_heads, queries)
 
 
+def _layer_norm_reference(x, gain, bias, g):
+    """The layer norm as plain numpy with row means by np.mean: the value, then
+    the gradients into x, gain and bias for an upstream gradient g."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + nm.LAYER_NORM_EPS)
+    xh = xc * inv
+    gh = g * gain
+    gx = inv * (gh - gh.mean(axis=1, keepdims=True) - xh * (gh * xh).mean(axis=1, keepdims=True))
+    return xh * gain + bias, gx, (g * xh).sum(axis=0), g.sum(axis=0)
+
+
+def _gelu_reference(x, g):
+    """tanh-approximation GELU and its gradient for an upstream gradient g."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+
+@st.composite
+def _rows(draw):
+    """1-20 rows of width 1-16 of Gaussian values scaled by 1e-3 to 1e3, and
+    the seed of everything else."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 16)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).normal(size=shape) * scale, scale, seed
+
+
+def _close(got, want, scale=None):
+    """Within 1e-12 of scale, by default the largest reference entry."""
+    scale = np.abs(want).max() if scale is None else scale
+    return np.abs(got - want).max() <= 1e-12 * max(scale, 1e-300)
+
+
+def _value_and_grads(op, inputs, g):
+    """op's value and the gradients of sum(op(inputs) * g) into each input."""
+    with nm.Tape() as tape:
+        out = op(*inputs)
+        grads = nm.backward(nm.tsum(nm.mul(out, Tensor(g))), tape)
+    return out.data, [nm.grad_of(grads, t) for t in inputs]
+
+
+class TestKernelProperties:
+    """layer_norm and gelu on random rows against plain-numpy references."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=_rows())
+    def test_layer_norm_matches_the_reference(self, rows):
+        x, _scale, seed = rows
+        rng = np.random.default_rng(seed + 1)
+        gain, bias, g = rng.normal(size=x.shape[1]), rng.normal(size=x.shape[1]), rng.normal(size=x.shape)
+        inputs = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        value, grads = _value_and_grads(nm.layer_norm, inputs, g)
+        want = _layer_norm_reference(x, gain, bias, g)
+        assert _close(value, want[0])
+        for got, ref in zip(grads, want[1:]):
+            assert _close(got, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=_rows())
+    def test_gelu_matches_the_reference(self, rows):
+        x, _scale, seed = rows
+        g = np.random.default_rng(seed + 1).normal(size=x.shape)
+        value, (gx,) = _value_and_grads(nm.gelu, [Tensor(x, requires_grad=True)], g)
+        want_value, want_gx = _gelu_reference(x, g)
+        # relative to x and g: where tanh is near -1, 1 + t keeps only a few
+        # digits, so a tiny result is not known to 1e-12 of itself
+        assert _close(value, want_value, np.abs(x).max())
+        assert _close(gx, want_gx, np.abs(g).max())
+
+    @settings(max_examples=10, deadline=None)
+    @given(rows=_rows())
+    def test_layer_norm_grads_match_finite_differences(self, rows):
+        x, scale, seed = rows
+        rng = np.random.default_rng(seed + 1)
+        x, gain, bias = Tensor(x), Tensor(rng.normal(size=x.shape[1])), Tensor(rng.normal(size=x.shape[1]))
+        probe = Tensor(rng.normal(size=x.shape))
+
+        def scalar(x_, gain_, bias_):
+            return nm.tsum(nm.mul(nm.layer_norm(x_, gain_, bias_), probe))
+
+        # a step in proportion to the rows keeps round-off and truncation small
+        # at every scale; a row of two normalizes to about (1, -1) whatever
+        # its values, so its gradient is round-off to a difference quotient
+        if x.shape[1] != 2:
+            assert finite_diff_check(lambda t: scalar(t, gain, bias), x, eps=1e-3 * scale, order=4) < 1e-5
+        assert finite_diff_check(lambda t: scalar(x, t, bias), gain, order=4) < 1e-5
+        assert finite_diff_check(lambda t: scalar(x, gain, t), bias, order=4) < 1e-5
+
+    @settings(max_examples=10, deadline=None)
+    @given(rows=_rows())
+    def test_gelu_grad_matches_finite_differences(self, rows):
+        x, scale, _seed = rows
+        # sum(gelu(x) + x): gelu's slope lies in (-0.13, 1.13), so every
+        # coordinate's gradient is near 1 and the check is an absolute one;
+        # gelu bends on a unit scale, so the step never exceeds 1e-3
+        eps = 1e-3 * min(scale, 1.0)
+        assert finite_diff_check(lambda t: nm.tsum(nm.add(nm.gelu(t), t)), Tensor(x), eps=eps, order=4) < 1e-6
+
+    @pytest.mark.parametrize("op, widths", [(nm.layer_norm, (5, 5, 5)), (nm.gelu, (5,))], ids=["layer_norm", "gelu"])
+    def test_f32_in_gives_f32_values_and_grads(self, op, widths):
+        rng = np.random.default_rng(40)
+        inputs = [Tensor(rng.normal(size=(3, w) if i == 0 else w).astype(np.float32), requires_grad=True) for i, w in enumerate(widths)]
+        value, grads = _value_and_grads(op, inputs, np.ones((3, 5), dtype=np.float32))
+        assert value.dtype == np.float32
+        assert [gr.dtype for gr in grads] == [np.float32] * len(inputs)
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor([[3.0]], requires_grad=True)
