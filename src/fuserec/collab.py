@@ -114,6 +114,44 @@ def _histories(train: list[Interaction]) -> dict[int, list[tuple[int, int]]]:
     return seqs
 
 
+def score_batch(
+    user_t: Tensor, item_t: Tensor, us: list[int], vs: list[int], owners: list[int], hists: list[list[int]] | None = None
+) -> Tensor:
+    """Scores of the (us[i], vs[i]) pairs: the user-item dot product (MF).
+
+    With hists (SeqAttn), the first len(hists) pairs are the positives, with
+    history items hists[j], and pair i adds the dot product of its item with
+    the row pooled for positive owners[i], so a sampled negative reads the
+    history of the positive it was drawn for. The histories go through one
+    one-head attention op, each asked by its user row at its last position;
+    a positive without a history pools to its user row.
+    """
+    eu = nm.gather_rows(user_t, us)
+    ev = nm.gather_rows(item_t, vs)
+    base = nm.tsum(nm.mul(eu, ev), axis=1)
+    if hists is None:
+        return base
+    asking = [j for j, hist in enumerate(hists) if hist]
+    pooled = eu  # its first len(hists) rows are the positives' user rows
+    if asking:
+        lengths = [len(hists[j]) for j in asking]
+        hrows = nm.gather_rows(item_t, [v for j in asking for v in hists[j]])
+        q = nm.gather_rows(user_t, [us[j] for j in asking])
+        attended = nm.causal_attention(q, hrows, hrows, lengths, 1, [[n - 1] for n in lengths])
+        pooled = nm.row_set(eu, asking, attended)
+    return nm.add(base, nm.tsum(nm.mul(nm.gather_rows(pooled, owners), ev), axis=1))
+
+
+def batch_loss(s: Tensor, y: np.ndarray, objective: str) -> Tensor:
+    """Mean loss of the scores s against the targets y: binary cross-entropy
+    on the logits s (implicit-bce, y in {0, 1}) or squared error (rating-mse)."""
+    if objective == "implicit-bce":
+        # bce(sigmoid(s), y) == softplus(s) - y * s
+        return nm.tmean(nm.sub(nm.softplus(s), nm.mul(Tensor(y), s)))
+    diff = nm.sub(s, Tensor(y))
+    return nm.tmean(nm.mul(diff, diff))
+
+
 def train_cf(
     train: list[Interaction],
     user_index: dict[int, int],
@@ -146,31 +184,6 @@ def train_cf(
             prior = [item_index[v] for (t, v) in seqs[it.user_id] if t < it.timestamp]
             hist_of.append(prior[-cfg.history_limit :])
 
-    def score_batch(us: list[int], vs: list[int], picked: list[int], owners: list[int]) -> Tensor:
-        """Scores of the (us[i], vs[i]) pairs. The first len(picked) pairs are
-        the positives, events picked[j]; with SeqAttn, pair i also reads the
-        history pooled for positive owners[i], so a sampled negative reads
-        the history of the positive it was drawn for."""
-        eu = nm.gather_rows(user_t, us)
-        ev = nm.gather_rows(item_t, vs)
-        base = nm.tsum(nm.mul(eu, ev), axis=1)
-        if cfg.backend == "MF":
-            return base
-        pooled_rows = []
-        for u, event in zip(us, picked):
-            hist = hist_of[event]
-            eu_row = nm.gather_rows(user_t, [u])
-            if not hist:
-                pooled_rows.append(eu_row)
-                continue
-            hmat = nm.gather_rows(item_t, hist)
-            logits = nm.matmul(eu_row, nm.transpose(hmat))
-            alpha = nm.softmax(logits, axis=1)
-            pooled_rows.append(nm.matmul(alpha, hmat))
-        stacked = nm.concat_cols([nm.transpose(r) for r in pooled_rows])  # d x B
-        pooled = nm.gather_rows(nm.transpose(stacked), owners)  # one row per pair
-        return nm.add(base, nm.tsum(nm.mul(pooled, ev), axis=1))
-
     epoch_losses: list[float] = []
     for _epoch in range(cfg.epochs):
         order = list(range(len(events)))
@@ -199,14 +212,9 @@ def train_cf(
                 y = np.asarray(labels)
             else:
                 y = np.asarray([float(r) for _u, _v, r in chunk])
+            hists = [hist_of[i] for i in picked] if cfg.backend == "SeqAttn" else None
             with nm.Tape() as tape:
-                s = score_batch(us, vs, picked, owners)
-                if cfg.objective == "implicit-bce":
-                    # bce(sigmoid(s), y) == softplus(s) - y * s
-                    loss = nm.tmean(nm.sub(nm.softplus(s), nm.mul(Tensor(y), s)))
-                else:
-                    diff = nm.sub(s, Tensor(y))
-                    loss = nm.tmean(nm.mul(diff, diff))
+                loss = batch_loss(score_batch(user_t, item_t, us, vs, owners, hists), y, cfg.objective)
                 grads = nm.backward(loss, tape)
             value = loss.item()
             if not np.isfinite(value):

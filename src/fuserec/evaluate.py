@@ -91,13 +91,6 @@ def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example:
     return list(example.candidate_set), np.asarray(scores)
 
 
-def candidate_distribution(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example: TaskExample) -> tuple[list[int], np.ndarray]:
-    """Softmax over the candidates' mean title log-likelihoods."""
-    cand_ids, scores = candidate_scores(model, corpus, cf, example)
-    e = np.exp(scores - scores.max())
-    return cand_ids, e / e.sum()
-
-
 def predict_rating(dist: np.ndarray) -> float:
     """Probability-weighted expectation over the five rating answers."""
     if dist.shape != (5,):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -230,11 +231,14 @@ def mha_forward(
     the given lengths (default: x is one sequence). Keys and values come from
     every row; queries from the positions read[b] of each sequence b, one
     output row each (default: every row). Query projections use the task's
-    adapter, key/value/output the shared ones (mode permitting)."""
+    adapter, key/value/output the shared ones (mode permitting). The query
+    rows are scaled by 1/sqrt(d_head) before the unscaled attention op."""
     p = f"lm.layer{layer}"
     lengths = [x.shape[0]] if lengths is None else lengths
     xq = x if read is None else nm.gather_rows(x, _packed_rows(lengths, read))
     q = lora_apply(xq, params[f"{p}.q"], bank.adapter(layer, "q", task))
+    # a Python float keeps f32 in f32
+    q = nm.scale(q, 1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
     k = lora_apply(x, params[f"{p}.k"], bank.adapter(layer, "k", task))
     v = lora_apply(x, params[f"{p}.v"], bank.adapter(layer, "v", task))
     merged = nm.causal_attention(q, k, v, lengths, cfg.n_heads, read)
@@ -288,9 +292,3 @@ def forward(
     x = nm.layer_norm(x, params["lm.final_norm.gain"], params["lm.final_norm.bias"])
     return nm.matmul(x, nm.transpose(params["lm.token_table"]))
 
-
-def trainable_params(named: dict[str, Tensor]) -> tuple[int, list[str]]:
-    """Count of scalar parameters receiving gradients plus their names."""
-    names = [name for name, t in sorted(named.items()) if t.requires_grad]
-    count = sum(named[n].data.size for n in names)
-    return count, names

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -334,9 +333,10 @@ def causal_attention(
     with queries, queries[b] lists the positions in sequence b that ask (at
     least one each, every one inside the sequence), and q holds their rows,
     sequence after sequence. Head h reads columns h*d/n_heads up to
-    (h+1)*d/n_heads, scores are scaled by 1/sqrt(d/n_heads), and a query at
-    position p attends to the rows of its own sequence up to and including p.
-    Returns the heads' outputs side by side, one row per query row.
+    (h+1)*d/n_heads, its scores are the plain dot products q kᵀ (a caller that
+    wants them scaled scales q), and a query at position p attends to the rows
+    of its own sequence up to and including p. Returns the heads' outputs side
+    by side, one row per query row.
 
     Inside, each sequence's rows are padded with zero rows to the longest
     sequence (equal lengths need only a reshape), its query rows likewise to
@@ -373,9 +373,7 @@ def causal_attention(
             if row.min() < 0 or row.max() >= size:
                 raise ContractError(f"query positions {list(r)} outside a sequence of {size} rows")
         mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0).astype(q.data.dtype, copy=False)
-    # scale the query rows, not the scores; a Python float keeps f32 in f32
-    c = 1.0 / math.sqrt(d // n_heads)
-    qh, kh, vh = qp.heads(q.data * c, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
+    qh, kh, vh = qp.heads(q.data, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     if not (np.isfinite(scores).all() and np.isfinite(v.data).all()):
         raise NumericError("causal attention over non-finite scores or values")
@@ -395,9 +393,8 @@ def causal_attention(
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         gs -= (gs * e).sum(axis=-1, keepdims=True) * inv
         gs *= e
-        # qh holds the scaled queries, so only the query gradient takes c
         return (
-            qp.packed(np.matmul(gs, kh)) * c if q.requires_grad else None,
+            qp.packed(np.matmul(gs, kh)) if q.requires_grad else None,
             kv.packed(np.matmul(gs.transpose(0, 1, 3, 2), qh)) if k.requires_grad else None,
             kv.packed(np.matmul(e.transpose(0, 1, 3, 2), gh)) if v.requires_grad else None,
         )

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from fuserec.collab import CfEmbeddings, CfTrainConfig, train_cf
+from fuserec import numerics as nm
+from fuserec.collab import CfEmbeddings, CfTrainConfig, batch_loss, score_batch, train_cf
 from fuserec.corpus import Interaction
+from fuserec.numerics import Tensor
 from fuserec.prng import SplitMix64
+
+from gradcheck import finite_diff_check
 
 
 def block_fixture():
@@ -130,6 +134,49 @@ class TestTrainCf:
         y = np.asarray([1.0] * len(pos_scores) + [0.0] * len(neg_scores))
         expected = np.mean(np.logaddexp(0.0, s) - y * s)
         assert abs(losses[0] - expected) <= 1e-12 * abs(expected)
+
+    def test_seqattn_batch_pools_through_one_attention_op(self, monkeypatch):
+        data = block_fixture()
+        ui, vi = dense_maps(data)
+        recorded = []
+        real_backward = nm.backward
+
+        def spy(loss, tape=None):
+            recorded.append([name for name, *_rest in tape.records])
+            return real_backward(loss, tape)
+
+        monkeypatch.setattr(nm, "backward", spy)
+        train_cf(data, ui, vi, CfTrainConfig(backend="SeqAttn", d_cf=4, epochs=1, batch_size=64, seed=7))
+        assert len(recorded) == 4  # 200 events in batches of 64
+        for names in recorded:
+            assert names.count("causal_attention") == 1
+            assert "softmax" not in names
+        # no op per positive: the last batch holds 8 positives, the others 64
+        assert len({len(names) for names in recorded}) == 1
+
+    # positives 0-2 with one sampled negative each for positives 0 and 2:
+    # positive 1 has no history and positive 2's history repeats item 3
+    US, VS, OWNERS = [0, 1, 2, 0, 2], [1, 2, 4, 3, 0], [0, 1, 2, 0, 2]
+    HISTS = [[0, 2], [], [3, 1, 3]]
+
+    def test_seqattn_bce_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        users, items = Tensor(rng.normal(0.0, 0.5, size=(3, 4))), Tensor(rng.normal(0.0, 0.5, size=(5, 4)))
+        y = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+
+        def loss(users_, items_):
+            return batch_loss(score_batch(users_, items_, self.US, self.VS, self.OWNERS, self.HISTS), y, "implicit-bce")
+
+        assert finite_diff_check(lambda t: loss(t, items), users) < 1e-5
+        assert finite_diff_check(lambda t: loss(users, t), items) < 1e-5
+
+    def test_positives_without_history_pool_to_their_user_rows(self):
+        rng = np.random.default_rng(32)
+        users, items = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4)))
+        s = score_batch(users, items, self.US, self.VS, self.OWNERS, [[], [], []]).data
+        mf = score_batch(users, items, self.US, self.VS, self.OWNERS).data
+        assert np.array_equal(mf, (users.data[self.US] * items.data[self.VS]).sum(axis=1))
+        assert np.array_equal(s, 2.0 * mf)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -50,14 +50,6 @@ class TestAnswerDistribution:
             assert abs(dist.sum() - 1.0) < 1e-9
             assert (dist > 0).all()
 
-    def test_candidate_distribution_sums_to_one(self, setup):
-        corpus, cf, model = setup
-        ex = build_examples(corpus, "TopK", "test", n_neg=4, seed=1)[0]
-        cand_ids, dist = ev.candidate_distribution(model, corpus, cf, ex)
-        assert list(cand_ids) == list(ex.candidate_set)
-        assert abs(dist.sum() - 1.0) < 1e-9
-        assert (dist > 0).all()
-
     def test_read_rows_equal_a_full_logits_recomputation(self, setup):
         corpus, cf, model = setup
         # two layers, so one runs on every row and the last one on the read rows;

@@ -281,6 +281,28 @@ class TestForward:
         expected = x.data @ params["lm.layer0.v"].data @ params["lm.layer0.o"].data
         assert np.abs(out.data - expected).max() == 0.0
 
+    def test_attention_scales_the_queries(self):
+        # one sequence, no adapters: each head is softmax(q kᵀ / sqrt(d_head)) v
+        cfg = tiny_cfg(n_layers=1)
+        rng = np.random.default_rng(16)
+        params = lmmod.init_backbone(cfg, rng)
+        for name in ("q", "k"):
+            params[f"lm.layer0.{name}"].data = rng.normal(0.0, 0.5, size=(cfg.d_model, cfg.d_model))
+        bank = MultiLoraBank(cfg, TASKS4, "none", rng)
+        x = embed(rng, cfg, 5)
+        q, k, v = (x.data @ params[f"lm.layer0.{name}"].data for name in "qkv")
+        d_head = cfg.d_model // cfg.n_heads
+        heads = []
+        for h in range(cfg.n_heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            scores = q[:, cols] @ k[:, cols].T / np.sqrt(d_head)
+            scores[np.triu_indices(5, 1)] = -np.inf
+            att = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append(att / att.sum(axis=1, keepdims=True) @ v[:, cols])
+        want = np.concatenate(heads, axis=1) @ params["lm.layer0.o"].data
+        out = lmmod.mha_forward(x, "RP", 0, params, bank, cfg).data
+        assert np.abs(out - want).max() < 1e-12
+
     def test_zero_adapters_make_tasks_indistinguishable(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(9)
@@ -383,24 +405,7 @@ class TestPacking:
             self.forward(self.x, [5, 1, 7])
 
 
-class TestTrainableParams:
-    def test_frozen_backbone_counts_zero(self):
-        cfg = tiny_cfg()
-        rng = np.random.default_rng(13)
-        params = lmmod.init_backbone(cfg, rng)
-        count, names = lmmod.trainable_params(params)
-        assert count == 0 and names == []
-
-    def test_adapter_parameters_counted(self):
-        cfg = tiny_cfg()
-        rng = np.random.default_rng(14)
-        params = lmmod.init_backbone(cfg, rng)
-        bank = MultiLoraBank(cfg, TASKS4, "multi-lora", rng)
-        named = {**params, **bank.named_parameters()}
-        count, names = lmmod.trainable_params(named)
-        assert count == bank.parameter_count()
-        assert all(n.startswith("lora.") for n in names)
-
+class TestLmConfig:
     def test_config_validation(self):
         with pytest.raises(ShapeError):
             tiny_cfg(d_model=9, n_heads=2)

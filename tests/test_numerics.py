@@ -176,7 +176,7 @@ def _attention_by_loops(q, k, v, lengths, n_heads):
         rows = slice(start, start + t_len)
         for h in range(n_heads):
             cols = slice(h * d_head, (h + 1) * d_head)
-            scores = q[rows, cols] @ k[rows, cols].T / math.sqrt(d_head)
+            scores = q[rows, cols] @ k[rows, cols].T
             scores[np.triu(np.ones((t_len, t_len), dtype=bool), k=1)] = -np.inf
             att = np.exp(scores - scores.max(axis=1, keepdims=True))
             out[rows, cols] = (att / att.sum(axis=1, keepdims=True)) @ v[rows, cols]
@@ -457,6 +457,86 @@ class TestKernelProperties:
         value, grads = _value_and_grads(op, inputs, np.ones((3, 5), dtype=np.float32))
         assert value.dtype == np.float32
         assert [gr.dtype for gr in grads] == [np.float32] * len(inputs)
+
+
+@st.composite
+def _table_and_ids(draw):
+    """A table of 1-6 rows of width 1-4, 1-12 row ids into it (repeats are
+    likely), and the seed of the values."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return n, d, ids, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _segments(draw):
+    """1-5 segments of 1-6 rows each over a vocab of 2-8, and the seed of the
+    logits and targets."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    return lengths, draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestIndexAndSegmentProperties:
+    """gather_rows, row_set and segmented cross_entropy on random shapes
+    against plain-numpy loops."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_table_and_ids())
+    def test_gather_rows_sums_the_gradients_of_repeated_ids(self, case):
+        n, d, ids, seed = case
+        rng = np.random.default_rng(seed)
+        table, g = rng.normal(size=(n, d)), rng.normal(size=(len(ids), d))
+        value, (gt,) = _value_and_grads(lambda t: nm.gather_rows(t, ids), [Tensor(table, requires_grad=True)], g)
+        want = np.zeros_like(table)
+        for i, row in enumerate(ids):
+            want[row] += g[i]
+        assert np.array_equal(value, table[ids])
+        assert _close(gt, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_table_and_ids(), data=st.data())
+    def test_row_set_matches_a_loop_and_rejects_a_repeated_index(self, case, data):
+        n, d, ids, seed = case
+        idx = list(dict.fromkeys(ids))  # distinct, in the order drawn
+        rng = np.random.default_rng(seed)
+        a, v, g = rng.normal(size=(n, d)), rng.normal(size=(len(idx), d)), rng.normal(size=(n, d))
+        inputs = [Tensor(a, requires_grad=True), Tensor(v, requires_grad=True)]
+        value, (ga, gv) = _value_and_grads(lambda a_, v_: nm.row_set(a_, idx, v_), inputs, g)
+        want, want_ga = a.copy(), g.copy()
+        for j, row in enumerate(idx):
+            want[row] = v[j]
+            want_ga[row] = 0.0
+        assert np.array_equal(value, want)
+        assert np.array_equal(ga, want_ga)
+        assert np.array_equal(gv, g[idx])
+        repeated = idx + [data.draw(st.sampled_from(idx))]
+        with pytest.raises(ContractError):
+            nm.row_set(Tensor(a), repeated, Tensor(np.zeros((len(repeated), d))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_segments())
+    def test_cross_entropy_over_segments_matches_a_loop(self, case):
+        lengths, vocab, seed = case
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=(sum(lengths), vocab))
+        targets = [int(t) for t in rng.integers(0, vocab, size=sum(lengths))]
+        x = Tensor(logits, requires_grad=True)
+        with nm.Tape() as tape:
+            loss = nm.cross_entropy(x, targets, lengths)
+            grads = nm.backward(loss, tape)
+        # each segment's mean negative log-probability and its gradient, the
+        # mean over segments dividing every row by segments x its length
+        seg_means, want_grad, start = [], np.zeros_like(logits), 0
+        for t_len in lengths:
+            rows, cols = np.arange(start, start + t_len), targets[start : start + t_len]
+            p = np.exp(logits[rows] - logits[rows].max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            seg_means.append(-np.log(p[np.arange(t_len), cols]).mean())
+            p[np.arange(t_len), cols] -= 1.0
+            want_grad[rows] = p / (len(lengths) * t_len)
+            start += t_len
+        assert abs(loss.item() - np.mean(seg_means)) <= 1e-12 * max(1.0, abs(loss.item()))
+        assert _close(nm.grad_of(grads, x), want_grad)
 
 
 class TestBackward:
