@@ -111,7 +111,7 @@ def cmd_export_embeddings(cfg: dict, args) -> int:
     corpus = _load_corpus(args)
     cf = _load_cf(args, corpus)
     model = _load_model(args, corpus, cf)
-    if tr.VARIANTS[model.variant].fusion == "none":
+    if not model.uses_collab_prompt():
         raise cp.CorpusError(f"variant {model.variant} has no fusion mapping to export")
     export_projected(model.fusion, cf, args.out)
     print(f"wrote projected vectors for {cf.user_table.shape[0]} users and {cf.item_table.shape[0]} items")

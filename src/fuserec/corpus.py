@@ -506,11 +506,6 @@ def words(text: str) -> list[str]:
     return out
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase, punctuation to spaces, collapsed whitespace; markers survive."""
-    return " ".join(words(text))
-
-
 class Vocab:
     """Token/text mapping with fixed special tokens; id = position in the list."""
 

@@ -2,12 +2,13 @@
 
 A per-user (and per-item) mapping matrix is generated by a small two-layer
 network from an attention-pooled view of the user's history, then applied as
-a plain matrix product. Every step takes B rows at once, so a packed batch
-maps all its users (or items) with one pass through each network. Ablation
-modes replace this with one or two generic affine maps, or skip injection
-entirely. The pooled inputs come from frozen CF tables, so pooling is plain
-numpy; everything from the generator weights onward runs on the gradient
-tape.
+a plain matrix product. The pooled rows come from frozen CF tables, so they
+are pooled once, in plain numpy, when an example is prepared
+(`trainer.cf_rows`), and the maps take them ready-made. Every step takes B
+rows at once, so a packed batch maps all its users (or items) with one pass
+through each network. Ablation modes replace this with one or two generic
+affine maps, or skip injection entirely. Everything from the generator
+weights onward runs on the gradient tape.
 """
 
 from __future__ import annotations
@@ -22,21 +23,19 @@ from .checkpoint import atomic_open
 from .numerics import ContractError, Tensor
 
 
-def attention_pool(e_query: np.ndarray, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dot-product attention of a query vector over history rows.
-
-    Returns (pooled vector, attention weights). History must be nonempty;
-    callers substitute the query itself for empty-history (cold) cases.
-    """
-    if history.ndim != 2 or history.shape[0] == 0:
-        raise ContractError("attention_pool requires a nonempty history matrix")
-    if e_query.shape != (history.shape[1],):
-        raise ContractError(f"query of shape {e_query.shape} vs history rows of {history.shape[1]}")
-    scores = history @ e_query
-    scores = scores - scores.max()
+def attention_pool(rows: np.ndarray, history: np.ndarray) -> np.ndarray:
+    """Dot-product attention of each of Q rows (Q x d) over the same n history
+    rows (n x d), in one batched pass: the Q x d pooled rows. Over an empty
+    history every row pools to itself."""
+    if rows.ndim != 2 or history.ndim != 2 or rows.shape[1] != history.shape[1]:
+        raise ContractError(f"rows of shape {rows.shape} vs history of shape {history.shape}")
+    if history.shape[0] == 0:
+        return rows
+    scores = rows @ history.T
+    scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
-    weights /= weights.sum()
-    return weights @ history, weights
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ history
 
 
 class MetaNetwork:
@@ -100,16 +99,6 @@ def _column_sums(d_cf: int, d_llm: int, dtype: np.dtype) -> Tensor:
     return sums
 
 
-def _pooled(e: np.ndarray, histories: Sequence[np.ndarray] | None) -> np.ndarray:
-    """Each row attention-pooled over its history; a row without history
-    (histories None, or an empty history) pools to itself."""
-    if histories is None:
-        return e
-    if len(histories) != e.shape[0]:
-        raise ContractError(f"{e.shape[0]} rows but {len(histories)} histories")
-    return np.stack([row if h.shape[0] == 0 else attention_pool(row, h)[0] for row, h in zip(e, histories)])
-
-
 class GenericMapper:
     """Single trainable affine map used by the unified/two-linear ablations."""
 
@@ -154,8 +143,8 @@ def inject(
 # variant dispatch
 # ---------------------------------------------------------------------------
 #
-# map_user/map_item take B rows (B x d_cf) and the B histories they pool over
-# (None: no history for any row) and return the B x d_llm projected vectors.
+# map_user/map_item take B rows (B x d_cf) and their B pooled rows (B x d_cf)
+# and return the B x d_llm projected vectors.
 
 
 class PersonalizedFusion:
@@ -167,11 +156,11 @@ class PersonalizedFusion:
         self.user_net = MetaNetwork(d_cf, d_llm, hidden, rng, "user_meta")
         self.item_net = MetaNetwork(d_cf, d_llm, hidden, rng, "item_meta")
 
-    def map_user(self, e_u: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
-        return project(e_u, generate_mapping(_pooled(e_u, histories), self.user_net))
+    def map_user(self, e_u: np.ndarray, pooled: np.ndarray) -> Tensor:
+        return project(e_u, generate_mapping(pooled, self.user_net))
 
-    def map_item(self, e_v: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
-        return project(e_v, generate_mapping(_pooled(e_v, histories), self.item_net))
+    def map_item(self, e_v: np.ndarray, pooled: np.ndarray) -> Tensor:
+        return project(e_v, generate_mapping(pooled, self.item_net))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {**self.user_net.named_parameters(), **self.item_net.named_parameters()}
@@ -188,10 +177,10 @@ class GenericFusion:
             self.user_map = GenericMapper(d_cf, d_llm, rng, "user_map")
             self.item_map = GenericMapper(d_cf, d_llm, rng, "item_map")
 
-    def map_user(self, e_u: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
+    def map_user(self, e_u: np.ndarray, pooled: np.ndarray) -> Tensor:
         return generic_map(e_u, self.user_map)
 
-    def map_item(self, e_v: np.ndarray, histories: Sequence[np.ndarray] | None) -> Tensor:
+    def map_item(self, e_v: np.ndarray, pooled: np.ndarray) -> Tensor:
         return generic_map(e_v, self.item_map)
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -205,7 +194,7 @@ class NoFusion:
 
     kind = "none"
 
-    def map_user(self, e_u, histories):
+    def map_user(self, e_u, pooled):
         raise ContractError("fusion disabled for this variant")
 
     map_item = map_user
@@ -217,14 +206,15 @@ class NoFusion:
 def export_projected(fusion, cf, out_path: str) -> None:
     """CSV of projected user and item vectors for external visualization.
 
-    Users are pooled over nothing here (self-pooled); items likewise: this is
-    an id-conditioned snapshot of the mapping, not a training-time quantity.
+    Each table is passed as its own pooled rows, so every user and item is
+    pooled over no history: this is an id-conditioned snapshot of the
+    mapping, not a training-time quantity.
     """
     with atomic_open(out_path) as fh:
         for row_kind, table, mapper in (
             ("user", cf.user_table, fusion.map_user),
             ("item", cf.item_table, fusion.map_item),
         ):
-            for i, vec in enumerate(mapper(table, None).data):
+            for i, vec in enumerate(mapper(table, table).data):
                 flat = ",".join(f"{x:.8g}" for x in vec)
                 fh.write(f"{row_kind},{i},{flat}\n")

@@ -468,8 +468,6 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], lengths: Sequence[int]
     m = x.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
     nll = lse - x[np.arange(t_len), cols]
-    cuts = np.cumsum([0, *sizes])
-    seg_means = [nll[a:b].mean() for a, b in zip(cuts[:-1], cuts[1:])]
     # the divisor of each row in the mean over segments of segment means, in
     # the logits' dtype: an integer divisor would make the gradient f64
     denom = np.repeat(len(sizes) * np.asarray(sizes), sizes)[:, None].astype(x.dtype)
@@ -480,7 +478,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], lengths: Sequence[int]
         soft[np.arange(t_len), cols] -= 1.0
         return (soft * (float(g) / denom),)
 
-    return _op("cross_entropy", (logits,), np.mean(seg_means), bwd)
+    return _op("cross_entropy", (logits,), (nll / denom[:, 0]).sum(), bwd)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:

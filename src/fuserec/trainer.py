@@ -190,25 +190,28 @@ def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> 
 
 
 class CfRows(NamedTuple):
-    """Frozen CF inputs of one sequence: the user row, the user's history rows
-    and the row of the item the sequence is read with."""
+    """Frozen CF inputs of one sequence: the user row, the item row it is read
+    with, and each of the two attention-pooled over the user's history."""
 
     e_u: np.ndarray
-    hist: np.ndarray
+    pooled_u: np.ndarray
     e_v: np.ndarray
+    pooled_v: np.ndarray
 
 
 def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int]) -> list[CfRows]:
-    """One CfRows per item, all with the example's user and history."""
-    hist_rows = [corpus.item_index[h] for h in example.history]
-    hist = cf.item_table[hist_rows] if hist_rows else np.zeros((0, cf.d_cf))
+    """One CfRows per item, all with the example's user: the user row and
+    every item row are pooled over the example's history in one call."""
+    hist = cf.item_table[[corpus.item_index[h] for h in example.history]]
     e_u = cf.lookup_user(corpus.user_index[example.user_id])
-    return [CfRows(e_u, hist, cf.lookup_item(corpus.item_index[v])) for v in items]
+    e_vs = [cf.lookup_item(corpus.item_index[v]) for v in items]
+    pooled = fz.attention_pool(np.stack([e_u, *e_vs]), hist)
+    return [CfRows(e_u, pooled[0], e_v, p) for e_v, p in zip(e_vs, pooled[1:])]
 
 
 def map_users(model: RecModel, rows: Sequence[CfRows]) -> Tensor:
     """The mapped user vectors of rows, one row each, from one map_user call."""
-    return model.fusion.map_user(np.stack([r.e_u for r in rows]), [r.hist for r in rows])
+    return model.fusion.map_user(np.stack([r.e_u for r in rows]), np.stack([r.pooled_u for r in rows]))
 
 
 def embed(
@@ -232,7 +235,7 @@ def embed(
         return nm.gather_rows(table, ids)
     starts = list(itertools.accumulate((len(s) for s in seqs[:-1]), initial=0))
     ep_u = map_users(model, rows) if ep_u is None else ep_u
-    ep_v = model.fusion.map_item(np.stack([r.e_v for r in rows]), [r.hist for r in rows])
+    ep_v = model.fusion.map_item(np.stack([r.e_v for r in rows]), np.stack([r.pooled_v for r in rows]))
     user_rows = [o + p.user_pos for o, p in zip(starts, positions)]
     item_rows = [o + p.item_pos for o, p in zip(starts, positions)]
     return fz.inject(ids, user_rows, item_rows, table, ep_u, ep_v)

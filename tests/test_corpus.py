@@ -305,7 +305,7 @@ class TestVocab:
     def test_round_trip_normalized(self):
         vocab = Vocab.build(["The cat, ran FAST!"])
         text = "The cat ran fast"
-        assert vocab.decode(vocab.encode(text)) == cp.normalize_text(text)
+        assert vocab.decode(vocab.encode(text)) == " ".join(cp.words(text))
 
     def test_vocab_size_is_words_plus_specials(self):
         sentences = ["the cat sat", "the dog ran fast", "a cat ran"]
@@ -333,8 +333,8 @@ class TestVocab:
 
 
 def _reference_tokens(text):
-    """The tokenizer as `normalize_text` then split: cut out the markers,
-    lowercase the rest, turn every run of non-[a-z0-9] into one space."""
+    """The tokenizer as `words`: cut out the markers, lowercase the rest,
+    turn every run of non-[a-z0-9] into one space, then split."""
     out = []
     for part in re.split(r"(<user>|<item>)", text):
         if part in (cp.USER_MARK, cp.ITEM_MARK):
@@ -360,7 +360,7 @@ class TestTokenizerProperties:
         assert vocab.tokens == list(cp.SPECIAL_TOKENS) + sorted(set(_reference_tokens(known)) - set(cp.SPECIAL_TOKENS))
         want = [vocab.bos] * bos + [vocab.index.get(tok, vocab.unk) for tok in _reference_tokens(text)]
         assert vocab.encode(text, bos=bos) == want
-        assert cp.normalize_text(text) == " ".join(_reference_tokens(text))
+        assert " ".join(cp.words(text)) == " ".join(_reference_tokens(text))
 
 
 class TestPersistence:
@@ -420,7 +420,7 @@ class TestPersistence:
         loaded = cp.load_corpus(str(out))
         assert [it.comment for it in loaded.interactions] == texts
         assert loaded.catalog == catalog
-        assert cp.normalize_text(loaded.interactions[0].comment) == "c new"
+        assert " ".join(cp.words(loaded.interactions[0].comment)) == "c new"
 
     def test_unknown_escape_is_a_corpus_error(self, tmp_path, small_corpus):
         out = tmp_path / "c"

@@ -12,48 +12,52 @@ from gradcheck import finite_diff_check
 
 class TestAttentionPool:
     def test_singleton_history(self):
-        e = np.array([0.3, -0.7])
+        rows = np.array([[0.3, -0.7], [-1.0, 2.0]])
         hist = np.array([[2.0, 1.0]])
-        pooled, weights = fz.attention_pool(e, hist)
-        assert np.array_equal(pooled, hist[0])
-        assert np.array_equal(weights, [1.0])
+        assert np.array_equal(fz.attention_pool(rows, hist), np.tile(hist, (2, 1)))
 
     def test_identical_history_items(self):
-        e = np.array([1.0, 0.0, 2.0])
+        rows = np.array([[1.0, 0.0, 2.0]])
         hist = np.tile([[0.5, 0.5, 0.5]], (4, 1))
-        pooled, weights = fz.attention_pool(e, hist)
-        assert np.allclose(pooled, hist[0], atol=1e-15)
-        assert np.allclose(weights, 0.25, atol=1e-15)
+        assert np.allclose(fz.attention_pool(rows, hist), hist[:1], atol=1e-15)
 
     def test_hand_softmax(self):
-        # dots are (1, 0): weights (e/(e+1), 1/(e+1)) = (0.7311, 0.2689)
-        pooled, weights = fz.attention_pool(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        # over an identity history the pooled rows are the weights: dots (1, 0)
+        # give (e/(e+1), 1/(e+1)) = (0.7311, 0.2689), and dots (0, 0) give a half each
+        weights = fz.attention_pool(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2))
         expected = math.e / (math.e + 1.0)
-        assert abs(weights[0] - expected) < 1e-12
-        assert abs(weights[0] - 0.7311) < 1e-4
-        assert np.allclose(pooled, [expected, 1.0 - expected], atol=1e-12)
+        assert abs(weights[0, 0] - expected) < 1e-12
+        assert abs(weights[0, 0] - 0.7311) < 1e-4
+        assert np.allclose(weights, [[expected, 1.0 - expected], [0.5, 0.5]], atol=1e-12)
 
     def test_weights_positive_sum_to_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            pooled, weights = fz.attention_pool(rng.normal(size=4), rng.normal(size=(5, 4)))
-            assert abs(weights.sum() - 1.0) < 1e-9
-            assert (weights > 0).all()
+        weights = fz.attention_pool(rng.normal(size=(10, 5)), np.eye(5))
+        assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
+        assert (weights > 0).all()
 
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(1)
         for n in range(1, 6):
-            e = rng.normal(size=3)
+            rows = rng.normal(size=(4, 3))
             hist = rng.normal(size=(n, 3))
-            pooled, weights = fz.attention_pool(e, hist)
-            exps = [math.exp(float(e @ hist[j]) - max(float(e @ hist[i]) for i in range(n))) for j in range(n)]
-            z = sum(exps)
-            ref = sum((exps[j] / z) * hist[j] for j in range(n))
-            assert np.abs(pooled - ref).max() < 1e-9
+            pooled = fz.attention_pool(rows, hist)
+            assert pooled.shape == (4, 3)
+            for e, got in zip(rows, pooled):
+                exps = [math.exp(float(e @ hist[j]) - max(float(e @ hist[i]) for i in range(n))) for j in range(n)]
+                z = sum(exps)
+                ref = sum((exps[j] / z) * hist[j] for j in range(n))
+                assert np.abs(got - ref).max() < 1e-9
 
-    def test_empty_history_rejected(self):
+    def test_empty_history_returns_the_rows(self):
+        rows = np.array([[0.3, -0.7], [1.5, 2.0]])
+        assert np.array_equal(fz.attention_pool(rows, np.zeros((0, 2))), rows)
+
+    def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            fz.attention_pool(np.zeros(2), np.zeros((0, 2)))
+            fz.attention_pool(np.zeros((1, 2)), np.zeros((3, 4)))
+        with pytest.raises(ContractError):
+            fz.attention_pool(np.zeros(2), np.zeros((3, 2)))
 
 
 class TestGenerateMapping:
@@ -121,13 +125,13 @@ class TestGenericMap:
         rng = np.random.default_rng(7)
         fusion = fz.GenericFusion(3, 4, rng, shared=True)
         e = rng.normal(size=(1, 3))
-        assert np.array_equal(fusion.map_user(e, None).data, fusion.map_item(e, None).data)
+        assert np.array_equal(fusion.map_user(e, e).data, fusion.map_item(e, e).data)
 
     def test_two_linear_mode_maps_equal_inputs_differently(self):
         rng = np.random.default_rng(8)
         fusion = fz.GenericFusion(3, 4, rng, shared=False)
         e = rng.normal(size=(1, 3))
-        assert not np.array_equal(fusion.map_user(e, None).data, fusion.map_item(e, None).data)
+        assert not np.array_equal(fusion.map_user(e, e).data, fusion.map_item(e, e).data)
 
 
 class TestInject:
@@ -181,11 +185,11 @@ class TestComposition:
         table = Tensor(rng.normal(size=(10, 4)))
         hist = rng.normal(size=(4, 3))
         e_u = rng.normal(size=3)
-        pooled, _ = fz.attention_pool(e_u, hist)
+        pooled = fz.attention_pool(e_u.reshape(1, 3), hist)
         probe = Tensor(rng.normal(size=(4, 1)))
 
         def scalar(_):
-            w = fz.generate_mapping(pooled.reshape(1, 3), net)
+            w = fz.generate_mapping(pooled, net)
             ep = fz.project(e_u.reshape(1, 3), w)
             emb = fz.inject([0, 3, 5], [1], [], table, ep, None)
             return nm.tsum(nm.matmul(emb, probe))
@@ -219,15 +223,7 @@ class TestVariantStructure:
         fusion = fz.NoFusion()
         assert fusion.named_parameters() == {}
         with pytest.raises(ContractError):
-            fusion.map_user(np.zeros((1, 3)), None)
-
-    def test_cold_history_falls_back_to_self_pool(self):
-        rng = np.random.default_rng(14)
-        fusion = fz.PersonalizedFusion(3, 4, 5, rng)
-        e_u = rng.normal(size=(1, 3))
-        empty = np.zeros((0, 3))
-        direct = fz.project(e_u, fz.generate_mapping(e_u, fusion.user_net))
-        assert np.array_equal(fusion.map_user(e_u, [empty]).data, direct.data)
+            fusion.map_user(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 class TestBatchedRows:
@@ -238,12 +234,11 @@ class TestBatchedRows:
         fusion = fz.PersonalizedFusion(3, 4, 5, rng)
         for net in (fusion.user_net, fusion.item_net):
             net.w2 = Tensor(rng.normal(size=net.w2.shape), requires_grad=True)
-        e = rng.normal(size=(4, 3))
-        histories = [rng.normal(size=(2, 3)), np.zeros((0, 3)), rng.normal(size=(5, 3)), rng.normal(size=(1, 3))]
+        e, pooled = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         for mapper in (fusion.map_user, fusion.map_item):
-            batched = mapper(e, histories).data
+            batched = mapper(e, pooled).data
             for b in range(4):
-                one = mapper(e[b : b + 1], histories[b : b + 1]).data
+                one = mapper(e[b : b + 1], pooled[b : b + 1]).data
                 assert np.abs(batched[b] - one[0]).max() < 1e-12
 
     def test_project_matches_vector_matrix_products(self):
@@ -258,14 +253,14 @@ class TestBatchedRows:
         rng = np.random.default_rng(17)
         fusion = fz.GenericFusion(3, 4, rng, shared=False)
         e = rng.normal(size=(3, 3))
-        batched = fusion.map_item(e, None).data
+        batched = fusion.map_item(e, e).data
         for b in range(3):
-            assert np.abs(batched[b] - fusion.map_item(e[b : b + 1], None).data[0]).max() < 1e-12
+            assert np.abs(batched[b] - fusion.map_item(e[b : b + 1], e[b : b + 1]).data[0]).max() < 1e-12
 
-    def test_history_count_must_match_rows(self):
+    def test_pooled_row_count_must_match_rows(self):
         fusion = fz.PersonalizedFusion(3, 4, 5, np.random.default_rng(18))
         with pytest.raises(ContractError):
-            fusion.map_user(np.zeros((2, 3)), [np.zeros((0, 3))])
+            fusion.map_user(np.zeros((2, 3)), np.zeros((1, 3)))
 
     def test_inject_writes_every_row_of_a_pack(self):
         rng = np.random.default_rng(19)

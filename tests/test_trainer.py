@@ -190,6 +190,53 @@ class TestBatchLoss:
         assert worst < 1e-4
 
 
+def _pooled_by_rows(rows: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """Each row attention-pooled over hist on its own: one numpy pass per row."""
+    out = []
+    for row in rows:
+        scores = hist @ row
+        weights = np.exp(scores - scores.max())
+        out.append((weights / weights.sum()) @ hist)
+    return np.array(out)
+
+
+class TestCfRows:
+    def test_topk_rows_match_per_row_pooling(self, world):
+        corpus, cf, _ = world
+        ex = next(e for e in build_examples(corpus, "TopK", "train", n_neg=3, seed=13) if len(e.history) > 1)
+        rows = tr.cf_rows(ex, corpus, cf, ex.candidate_set)
+        hist = cf.item_table[[corpus.item_index[h] for h in ex.history]]
+        assert len(rows) == len(ex.candidate_set) == 4
+        e_u = cf.user_table[corpus.user_index[ex.user_id]]
+        items = cf.item_table[[corpus.item_index[v] for v in ex.candidate_set]]
+        ref = _pooled_by_rows(np.vstack([e_u, items]), hist)
+        for r, e_v, want_v in zip(rows, items, ref[1:]):
+            assert np.array_equal(r.e_u, e_u) and np.array_equal(r.e_v, e_v)
+            assert np.abs(r.pooled_u - ref[0]).max() < 1e-15
+            assert np.abs(r.pooled_v - want_v).max() < 1e-15
+
+    def test_example_without_history_pools_to_its_own_rows(self, world):
+        corpus, cf, lm_cfg = world
+        ex = dataclasses.replace(build_examples(corpus, "RP", "train", n_neg=3, seed=13)[0], history=())
+        (rows,) = tr.cf_rows(ex, corpus, cf, [ex.candidate])
+        assert np.array_equal(rows.pooled_u, rows.e_u)
+        assert np.array_equal(rows.pooled_v, rows.e_v)
+        model = RecModel(lm_cfg, "CKF", corpus.tasks, cf.d_cf, 4, seed=7)
+        e_u = rows.e_u.reshape(1, -1)
+        direct = fz.project(e_u, fz.generate_mapping(e_u, model.fusion.user_net))
+        assert np.array_equal(tr.map_users(model, [rows]).data, direct.data)
+
+    def test_batch_loss_pools_nothing(self, world, monkeypatch):
+        model, batch = make_batch(world, "TopK")
+
+        def refuse(*_args):
+            raise AssertionError("attention_pool called after preparation")
+
+        monkeypatch.setattr(fz, "attention_pool", refuse)
+        total, _ = batch_loss(batch, model, 0, BetaSchedule(total_steps=10), lambda_orth=1.0, beta_value=0.5)
+        assert np.isfinite(total.item())
+
+
 class TestPackedBatch:
     """One packed pass per prompt form gives what one pass per example gives."""
 
