@@ -52,7 +52,7 @@ def answer_distribution(
             raise ContractError(f"answer token {a!r} missing from the vocab")
         ids.append(tok)
     enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
-    rows = tr.cf_rows(example, corpus, cf, [example.candidate])
+    rows = tr.cf_rows(example, corpus, cf, [example.candidate], model.reads_pooled_rows())
     embs = tr.embed(model, [enc.seq[: enc.n_prompt]], [enc.positions], rows)
     logits = lmmod.forward(embs, example.task, model.params, model.bank, model.lm_cfg, read=[[enc.n_prompt - 1]])
     sub = logits.data[0][ids]
@@ -73,7 +73,7 @@ def candidate_scores(model: RecModel, corpus: Corpus, cf: CfEmbeddings, example:
     enc = tr.encode_prompt(example, corpus, model.uses_collab_prompt())
     prompt = enc.seq[: enc.n_prompt]
     titles = [corpus.vocab.encode(corpus.catalog[c], bos=False) for c in example.candidate_set]
-    rows = tr.cf_rows(example, corpus, cf, example.candidate_set)
+    rows = tr.cf_rows(example, corpus, cf, example.candidate_set, model.reads_pooled_rows())
     ep_u = tr.map_users(model, rows[:1]) if enc.positions.user_pos is not None else None
     scores = []
     for start in range(0, len(titles), TOPK_PACK):

@@ -513,8 +513,11 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"row id outside table of {table.shape[0]} rows")
 
     def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, rows, g)
+        # one 1-D scatter over flat element indices, which numpy runs far faster
+        # than a row scatter; each element gets the same additions in the same order
+        d = table.shape[1]
+        full = np.zeros(table.shape, table.data.dtype)  # C order, so reshape(-1) is a view
+        np.add.at(full.reshape(-1), (rows[:, None] * d + np.arange(d)).reshape(-1), g.reshape(-1))
         return (full,)
 
     return _op("gather_rows", (table,), table.data[rows], bwd)

@@ -157,6 +157,10 @@ class RecModel:
     def uses_collab_prompt(self) -> bool:
         return VARIANTS[self.variant].fusion != "none"
 
+    def reads_pooled_rows(self) -> bool:
+        """Whether the fusion maps read pooled CF rows: only the meta-networks do."""
+        return self.fusion.kind == "personalized"
+
 
 # ---------------------------------------------------------------------------
 # example preparation
@@ -191,7 +195,8 @@ def encode_prompt(example: TaskExample, corpus: Corpus, inject_collab: bool) -> 
 
 class CfRows(NamedTuple):
     """Frozen CF inputs of one sequence: the user row, the item row it is read
-    with, and each of the two attention-pooled over the user's history."""
+    with, and each of the two attention-pooled over the user's history (or
+    the row itself, for a fusion that reads no pooled rows)."""
 
     e_u: np.ndarray
     pooled_u: np.ndarray
@@ -199,12 +204,16 @@ class CfRows(NamedTuple):
     pooled_v: np.ndarray
 
 
-def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int]) -> list[CfRows]:
+def cf_rows(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, items: Sequence[int], pool: bool = True) -> list[CfRows]:
     """One CfRows per item, all with the example's user: the user row and
-    every item row are pooled over the example's history in one call."""
-    hist = cf.item_table[[corpus.item_index[h] for h in example.history]]
+    every item row are pooled over the example's history in one call. With
+    pool False (a fusion that reads no pooled rows) each row stands for its
+    own pooled row and nothing is pooled."""
     e_u = cf.lookup_user(corpus.user_index[example.user_id])
     e_vs = [cf.lookup_item(corpus.item_index[v]) for v in items]
+    if not pool:
+        return [CfRows(e_u, e_u, e_v, e_v) for e_v in e_vs]
+    hist = cf.item_table[[corpus.item_index[h] for h in example.history]]
     pooled = fz.attention_pool(np.stack([e_u, *e_vs]), hist)
     return [CfRows(e_u, pooled[0], e_v, p) for e_v, p in zip(e_vs, pooled[1:])]
 
@@ -249,10 +258,10 @@ class Prepared:
     rows: CfRows
 
 
-def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with_collab: bool) -> Prepared:
+def prepare_example(example: TaskExample, corpus: Corpus, cf: CfEmbeddings, with_collab: bool, pool: bool = True) -> Prepared:
     plain = encode_prompt(example, corpus, inject_collab=False)
     collab = encode_prompt(example, corpus, inject_collab=True) if with_collab else None
-    (rows,) = cf_rows(example, corpus, cf, [example.candidate])
+    (rows,) = cf_rows(example, corpus, cf, [example.candidate], pool)
     return Prepared(example, plain, collab, rows)
 
 
@@ -405,15 +414,15 @@ def train(
     for t in model.named_parameters().values():
         t.data = t.data.astype(np.float32)
 
-    with_collab = model.uses_collab_prompt()
+    with_collab, pooled = model.uses_collab_prompt(), model.reads_pooled_rows()
     pools: dict[str, list[Prepared]] = {}
     for task in tasks:
         examples = build_examples(corpus, task, "train", n_neg=cfg.n_neg, seed=cfg.seed)
-        pools[task] = [prepare_example(ex, corpus, cf, with_collab) for ex in examples]
+        pools[task] = [prepare_example(ex, corpus, cf, with_collab, pooled) for ex in examples]
     valid_pools: dict[str, list[Prepared]] = {}
     for task in tasks:
         examples = build_examples(corpus, task, "valid", n_neg=cfg.n_neg, seed=cfg.seed)
-        valid_pools[task] = [prepare_example(ex, corpus, cf, with_collab) for ex in examples]
+        valid_pools[task] = [prepare_example(ex, corpus, cf, with_collab, pooled) for ex in examples]
     longest = max(
         (len(e.seq) for pool in (*pools.values(), *valid_pools.values()) for p in pool for e in (p.plain, p.collab) if e is not None),
         default=0,

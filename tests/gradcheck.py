@@ -25,6 +25,16 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-
     floor; use it when the smallest gradient coordinates sit near the noise
     level of the plain central difference. x must be f64.
     """
+    a, numeric = tape_and_central_gradients(f, x, eps, order)
+    rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + 1e-12)
+    return float(rel.max()) if rel.size else 0.0
+
+
+def tape_and_central_gradients(
+    f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5, order: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tape gradient of f at x and its central-difference estimate, both
+    flattened; the arguments are those of finite_diff_check."""
     if eps <= 0:
         raise ContractError("finite_diff_check requires eps > 0")
     if order not in (2, 4):
@@ -57,6 +67,4 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-
             numeric[i] = (
                 8.0 * (at(i, eps) - at(i, -eps)) - (at(i, 2 * eps) - at(i, -2 * eps))
             ) / (12.0 * eps)
-    a = analytic.reshape(-1)
-    rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + 1e-12)
-    return float(rel.max()) if rel.size else 0.0
+    return analytic.reshape(-1), numeric

@@ -236,6 +236,21 @@ class TestCfRows:
         total, _ = batch_loss(batch, model, 0, BetaSchedule(total_steps=10), lambda_orth=1.0, beta_value=0.5)
         assert np.isfinite(total.item())
 
+    @pytest.mark.parametrize("variant", ["NPM", "NCK"])
+    def test_fusion_without_meta_networks_pools_nothing(self, world, monkeypatch, variant):
+        corpus, cf, lm_cfg = world
+
+        def refuse(*_args):
+            raise AssertionError(f"{variant} pooled CF rows it never reads")
+
+        monkeypatch.setattr(fz, "attention_pool", refuse)
+        result = tr.train(corpus, cf, lm_cfg, small_train_cfg(variant=variant, tasks=("RP", "TopK")), fusion_hidden=4)
+        report = ev.evaluate_model(result.model, corpus, cf, n_neg=3, seed=5)
+        assert result.steps > 0 and set(report["tasks"]) == {"RP", "TopK"}
+        ex = build_examples(corpus, "RP", "train", n_neg=3, seed=13)[0]
+        rows = prepare_example(ex, corpus, cf, True, result.model.reads_pooled_rows()).rows
+        assert rows.pooled_u is rows.e_u and rows.pooled_v is rows.e_v
+
 
 class TestPackedBatch:
     """One packed pass per prompt form gives what one pass per example gives."""
