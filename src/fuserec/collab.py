@@ -199,12 +199,11 @@ def train_cf(
                 labels = [1.0] * len(chunk)
                 for j, (u, v, _r) in enumerate(chunk):
                     owned = user_items[u]
-                    for _ in range(cfg.negatives_per_positive):
+                    # a user who owns every item has no negative to draw
+                    for _ in range(cfg.negatives_per_positive if len(owned) < n_items else 0):
                         neg = rng.randbelow(n_items)
-                        guard = 0
-                        while neg in owned and guard < 100:
+                        while neg in owned:
                             neg = rng.randbelow(n_items)
-                            guard += 1
                         us.append(u)
                         vs.append(neg)
                         owners.append(j)

@@ -5,6 +5,11 @@ interactions sorted by (user, timestamp), k-core filtered, split per user by
 recency, turned into per-task supervised examples with seeded negative
 sampling, and rendered into prompt text with optional collaborative
 placeholder markers.
+
+save_corpus writes a corpus as two JSON-lines files, interactions.jsonl
+(each interaction with its split role) and catalog.jsonl, plus vocab.txt
+(one token per line) and corpus.json, whose line counts let load_corpus
+reject a cut file.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .prng import SplitMix64
 
 TASKS = ("RP", "CTR", "TopK", "Explain")
 FORMATS = ("ml-dat", "tsv", "review-jsonl")
+ROLES = ("train", "valid", "test")  # the lists of a Split, in field order
 
 USER_MARK = "<user>"
 ITEM_MARK = "<item>"
@@ -296,7 +302,7 @@ class Corpus:
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.item_index = {v: i for i, v in enumerate(self.item_ids)}
         self.by_user = _by_user(interactions)
-        # an empty comment is no comment: save_corpus writes both as an empty field
+        # an empty comment is no comment: save_corpus writes both as null
         self.has_comments = any(it.comment for it in interactions)
 
     @property
@@ -516,10 +522,8 @@ class Vocab:
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise CorpusError("duplicate token in vocab")
-        self.pad = self.index["<pad>"]
         self.bos = self.index["<bos>"]
         self.eos = self.index["<eos>"]
-        self.sep = self.index["<sep>"]
         self.unk = self.index["<unk>"]
         self.user_unk = self.index[USER_MARK]
         self.item_unk = self.index[ITEM_MARK]
@@ -539,20 +543,6 @@ class Vocab:
         index, unk = self.index, self.unk
         ids = [index.get(tok, unk) for tok in words(text)]
         return [self.bos, *ids] if bos else ids
-
-    def decode(self, ids) -> str:
-        keep = {self.pad, self.bos, self.eos, self.sep}
-        return " ".join(self.tokens[i] for i in ids if i not in keep)
-
-    def save(self, path: str) -> None:
-        with atomic_open(path) as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
 @dataclass(frozen=True)
@@ -577,74 +567,69 @@ def locate_placeholders(ids: list[int], vocab: Vocab, expected: bool) -> Placeho
 # persistence
 # ---------------------------------------------------------------------------
 
-# a line of a corpus file holds no tab inside a field and no line break
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {esc[1]: raw for raw, esc in _ESCAPES.items()}
-_ESCAPE_TABLE = str.maketrans(_ESCAPES)
-_ESCAPE_SEQ = re.compile(r"\\(.?)", re.DOTALL)
+def _read_lines(path: str, want: int, parse: Callable[[str], object]) -> list:
+    """`parse` applied to each line of a file save_corpus wrote. A line that is
+    not UTF-8 or that parse rejects, a last line without its newline and a
+    line count other than `want` are CorpusErrors naming the file."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if lines.pop():
+        raise CorpusError(f"{path}:{len(lines) + 1}: cut short, no newline at its end")
+    rows = []
+    for n, line in enumerate(lines, 1):
+        try:
+            rows.append(parse(line.decode("utf-8")))
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{n}: malformed line ({exc})") from None
+    if len(rows) != want:
+        raise CorpusError(f"{path}: {len(rows)} lines, but corpus.json records {want}")
+    return rows
 
 
-def _escape(text: str) -> str:
-    return text.translate(_ESCAPE_TABLE)
+def _fields(line: str, kinds: tuple) -> list:
+    """The fields of a line holding one JSON array, the i-th of type kinds[i]."""
+    row = json.loads(line)
+    if not isinstance(row, list) or len(row) != len(kinds):
+        raise ValueError(f"not a JSON array of {len(kinds)} fields")
+    for i, (value, kind) in enumerate(zip(row, kinds)):
+        if not isinstance(value, kind) or isinstance(value, bool):  # a bool is an int, but no id
+            raise ValueError(f"field {i} is {value!r}")
+    return row
 
 
-def _unescape(text: str) -> str:
-    """The text _escape was given, read in one pass; a backslash that does not
-    start one of its escapes is a ValueError."""
-
-    def undo(match: re.Match) -> str:
-        if match.group(1) not in _UNESCAPES:
-            raise ValueError(f"unknown escape {match.group(0)!r}")
-        return _UNESCAPES[match.group(1)]
-
-    return _ESCAPE_SEQ.sub(undo, text)
+def _parse_interaction(line: str) -> tuple[Interaction, str]:
+    u, v, r, t, role, comment = _fields(line, (int, int, int, int, str, str | None))
+    if role not in ROLES:
+        raise ValueError(f"unknown role {role!r}")
+    return Interaction(u, v, r, t, comment), role
 
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:
+    """One JSON array per line: [user, item, rating, timestamp, role, comment]
+    in interactions.jsonl, in corpus order, and [item, title] in catalog.jsonl,
+    by id; one token per line in vocab.txt. corpus.json, written last, holds
+    the spec, the dropped and cold users, and each of those files' line count."""
     os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "interactions.tsv")) as fh:
-        for i, it in enumerate(corpus.interactions):
-            comment = _escape(it.comment) if it.comment is not None else ""
-            fh.write(f"{i}\t{it.user_id}\t{it.item_id}\t{it.rating}\t{it.timestamp}\t{comment}\n")
-    with atomic_open(os.path.join(out_dir, "catalog.tsv")) as fh:
-        for v in sorted(corpus.catalog):
-            fh.write(f"{v}\t{_escape(corpus.catalog[v])}\n")
-    corpus.vocab.save(os.path.join(out_dir, "vocab.txt"))
-    keys = {id(it): i for i, it in enumerate(corpus.interactions)}
-    with atomic_open(os.path.join(out_dir, "splits.tsv")) as fh:
-        for role, rows in (("train", corpus.split.train), ("valid", corpus.split.valid), ("test", corpus.split.test)):
-            for it in rows:
-                fh.write(f"{keys[id(it)]}\t{role}\n")
+    role = {id(it): name for name in ROLES for it in getattr(corpus.split, name)}
+    text = {
+        "interactions.jsonl": [
+            json.dumps([it.user_id, it.item_id, it.rating, it.timestamp, role[id(it)], it.comment or None], ensure_ascii=False)
+            for it in corpus.interactions
+        ],
+        "catalog.jsonl": [json.dumps([v, corpus.catalog[v]], ensure_ascii=False) for v in sorted(corpus.catalog)],
+        "vocab.txt": corpus.vocab.tokens,
+    }
+    for name, lines in text.items():
+        with atomic_open(os.path.join(out_dir, name)) as fh:
+            fh.writelines(line + "\n" for line in lines)
     meta = asdict(corpus.spec)
     meta.update(
         history_limit=corpus.history_limit,
         dropped_users=corpus.split.dropped_users,
         cold_user_ids=sorted(corpus.split.cold_user_ids),
+        line_counts={name: len(lines) for name, lines in text.items()},
     )
     save_meta(os.path.join(out_dir, "corpus.json"), meta)
-
-
-def _read_tsv(path: str, parse: Callable[[list[str]], object]) -> list:
-    """`parse` applied to the tab-separated fields of each line of a corpus
-    file; a line it rejects is a CorpusError naming file:line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                rows.append(parse(line.rstrip("\n").split("\t")))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{n}: malformed line ({exc})") from None
-    return rows
-
-
-def _parse_interaction(cols: list[str]) -> Interaction:
-    _idx, u, v, r, t, comment = cols
-    return Interaction(int(u), int(v), int(r), int(t), _unescape(comment) if comment else None)
-
-
-def _parse_catalog_entry(cols: list[str]) -> tuple[int, str]:
-    v, title = cols
-    return int(v), _unescape(title)
 
 
 def load_corpus(corpus_dir: str) -> Corpus:
@@ -654,42 +639,29 @@ def load_corpus(corpus_dir: str) -> Corpus:
             meta = json.load(fh)
             spec = SplitSpec(**{f.name: meta[f.name] for f in fields(SplitSpec)})
             history_limit, dropped, cold = meta["history_limit"], meta["dropped_users"], frozenset(meta["cold_user_ids"])
+            counts = dict(meta["line_counts"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CorpusError(f"{meta_path}: unreadable corpus metadata ({exc!r})") from None
-    interactions = _read_tsv(os.path.join(corpus_dir, "interactions.tsv"), _parse_interaction)
-    catalog = dict(_read_tsv(os.path.join(corpus_dir, "catalog.tsv"), _parse_catalog_entry))
-    vocab = Vocab.load(os.path.join(corpus_dir, "vocab.txt"))
 
-    def parse_role(cols: list[str]) -> tuple[int, str]:
-        idx, role = cols
-        if not 0 <= int(idx) < len(interactions):
-            raise ValueError(f"interaction {idx} outside {len(interactions)} interactions")
-        if role not in ("train", "valid", "test"):
-            raise ValueError(f"unknown role {role!r}")
-        return int(idx), role
+    def read(name: str, parse: Callable[[str], object]) -> list:
+        return _read_lines(os.path.join(corpus_dir, name), counts.get(name), parse)
 
-    roles = dict(_read_tsv(os.path.join(corpus_dir, "splits.tsv"), parse_role))
-    train = [interactions[i] for i in sorted(roles) if roles[i] == "train"]
-    valid = [interactions[i] for i in sorted(roles) if roles[i] == "valid"]
-    test = [interactions[i] for i in sorted(roles) if roles[i] == "test"]
-    split = Split(train, valid, test, dropped, cold)
-    return Corpus(interactions, catalog, split, spec, vocab, history_limit)
+    rows = read("interactions.jsonl", _parse_interaction)
+    catalog = dict(read("catalog.jsonl", lambda line: _fields(line, (int, str))))
+    # each interaction lies in one split, so the split lists hold the very
+    # objects of the interaction list, in its order
+    split = Split(*([it for it, role in rows if role == name] for name in ROLES), dropped, cold)
+    return Corpus([it for it, _role in rows], catalog, split, spec, Vocab(read("vocab.txt", str)), history_limit)
 
 
 def corpus_stats(corpus: Corpus, tasks: tuple[str, ...] | None = None, n_neg: int = 10, seed: int = 0) -> dict:
     """Dataset statistics: interaction/user/item counts, per-split example
     counts summed over tasks, and average interactions per user/item."""
     tasks = tasks if tasks is not None else corpus.tasks
-    counts = {"train": 0, "valid": 0, "test": 0}
-    for split_name in counts:
-        for task in tasks:
-            counts[split_name] += len(build_examples(corpus, task, split_name, n_neg=n_neg, seed=seed))
     n = len(corpus.interactions)
     return {
         "interactions": n,
-        "train": counts["train"],
-        "valid": counts["valid"],
-        "test": counts["test"],
+        **{name: sum(len(build_examples(corpus, task, name, n_neg=n_neg, seed=seed)) for task in tasks) for name in ROLES},
         "users": len(corpus.user_ids),
         "items": len(corpus.item_ids),
         "avg_u": n / len(corpus.user_ids),

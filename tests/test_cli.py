@@ -326,8 +326,7 @@ def other_pipeline(tmp_path_factory):
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
         root, _cfg, _data, corpus_dir, cf_path, model_path, report_path = pipeline
-        for name in ("interactions.tsv", "catalog.tsv", "vocab.txt", "splits.tsv", "corpus.json"):
-            assert os.path.exists(os.path.join(corpus_dir, name))
+        assert sorted(os.listdir(corpus_dir)) == ["catalog.jsonl", "corpus.json", "interactions.jsonl", "vocab.txt"]
         assert os.path.exists(cf_path)
         assert os.path.exists(model_path) and os.path.exists(model_path + ".json")
         assert os.path.exists(model_path + ".log.jsonl")
@@ -367,7 +366,7 @@ class TestPipeline:
         out = str(tmp_path / "embs.csv")
         assert main(["export-embeddings", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--model", model_path, "--out", out]) == 0
         lines = open(out).read().splitlines()
-        n_items = len(open(os.path.join(corpus_dir, "catalog.tsv")).read().splitlines())
+        n_items = len(open(os.path.join(corpus_dir, "catalog.jsonl")).read().splitlines())
         assert len(lines) == 12 + n_items
         kind, ident, *floats = lines[0].split(",")
         assert kind == "user" and ident == "0"
@@ -585,8 +584,13 @@ class TestExitCodes:
             with open(model_copy + ".json", "w") as fh:
                 json.dump(meta, fh)
         else:
-            bad_line = {"interactions": "garbage line", "splits": "x\ttrain", "catalog": "notanint"}[artifact]
-            with open(os.path.join(corpus_copy, artifact + ".tsv"), "a") as fh:
+            # "splits": an interaction line whose split role is unknown
+            name, bad_line = {
+                "interactions": ("interactions.jsonl", "garbage line"),
+                "splits": ("interactions.jsonl", '[0, 1, 4, 5, "x", null]'),
+                "catalog": ("catalog.jsonl", '["notanint", "title"]'),
+            }[artifact]
+            with open(os.path.join(corpus_copy, name), "a") as fh:
                 fh.write(bad_line + "\n")
         out = str(tmp_path / "report.json")
         argv = ["evaluate", "--config", cfg_path, "--corpus", corpus_copy, "--cf", cf_copy, "--model", model_copy, "--out", out]
@@ -594,8 +598,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err
         if artifact in ("interactions", "splits", "catalog"):
-            with open(os.path.join(corpus_copy, artifact + ".tsv")) as fh:
+            name = "catalog.jsonl" if artifact == "catalog" else "interactions.jsonl"
+            with open(os.path.join(corpus_copy, name)) as fh:
                 n_lines = len(fh.readlines())
-            assert f"{artifact}.tsv:{n_lines}:" in err
+            assert f"{name}:{n_lines}: malformed line" in err
         if artifact == "cf-width":
             assert f"{model_copy} was made for CF vectors of width 6, but {cf_copy} holds width 8" in err
+
+    @pytest.mark.parametrize("name", ["interactions.jsonl", "catalog.jsonl", "vocab.txt", "corpus.json"])
+    @pytest.mark.parametrize("cut", ["line-boundary", "inside-line"])
+    def test_cut_corpus_file_is_a_data_error(self, pipeline, tmp_path, capsys, name, cut):
+        _root, cfg_path, _data, corpus_dir, cf_path, model_path, _report = pipeline
+        corpus_copy = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, corpus_copy)
+        path = os.path.join(corpus_copy, name)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        # the file loses its last line, or ends two bytes into the line before
+        last = blob[:-1].rfind(b"\n") + 1
+        before = blob[: last - 1].rfind(b"\n") + 1
+        with open(path, "wb") as fh:
+            fh.write(blob[: last if cut == "line-boundary" else before + 2])
+        base = ["--config", cfg_path, "--corpus", corpus_copy, "--cf", cf_path]
+        commands = [["evaluate", *base, "--model", model_path, "--out", str(tmp_path / "report.json")]]
+        if name == "vocab.txt":
+            commands.append(["train", *base, "--out", str(tmp_path / "model.ckpt")])
+        for argv in commands:
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {path}"), err
+        assert not (tmp_path / "report.json").exists() and not (tmp_path / "model.ckpt").exists()

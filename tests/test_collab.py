@@ -125,10 +125,8 @@ class TestTrainCf:
             pos_scores.append(users[u] @ items[v] + pooled @ items[v])
             for _ in range(cfg.negatives_per_positive):
                 neg = rng.randbelow(len(vi))
-                guard = 0
-                while neg in owned[it.user_id] and guard < 100:
+                while neg in owned[it.user_id]:
                     neg = rng.randbelow(len(vi))
-                    guard += 1
                 neg_scores.append(users[u] @ items[neg] + pooled @ items[neg])
         s = np.asarray(pos_scores + neg_scores)
         y = np.asarray([1.0] * len(pos_scores) + [0.0] * len(neg_scores))

@@ -302,11 +302,6 @@ class TestVocab:
         assert ids[0] == vocab.bos
         assert ids[1:] == [vocab.index["yes"]]
 
-    def test_round_trip_normalized(self):
-        vocab = Vocab.build(["The cat, ran FAST!"])
-        text = "The cat ran fast"
-        assert vocab.decode(vocab.encode(text)) == " ".join(cp.words(text))
-
     def test_vocab_size_is_words_plus_specials(self):
         sentences = ["the cat sat", "the dog ran fast", "a cat ran"]
         vocab = Vocab.build(sentences)
@@ -318,10 +313,11 @@ class TestVocab:
         assert vocab.encode("mystery", bos=False) == [vocab.unk]
 
     def test_save_load_stable_ids(self, tmp_path):
-        vocab = Vocab.build(["alpha beta gamma"])
-        path = tmp_path / "vocab.txt"
-        vocab.save(str(path))
-        loaded = Vocab.load(str(path))
+        interactions = [Interaction(0, v, 4, v) for v in range(3)]
+        corpus = build_corpus(cp.ParseResult(interactions, {0: "alpha", 1: "beta", 2: "gamma"}, 0), SplitSpec(k_core=0))
+        vocab = corpus.vocab
+        cp.save_corpus(corpus, str(tmp_path))
+        loaded = cp.load_corpus(str(tmp_path)).vocab
         assert loaded.tokens == vocab.tokens
         assert loaded.user_unk == vocab.user_unk and loaded.item_unk == vocab.item_unk
 
@@ -363,6 +359,27 @@ class TestTokenizerProperties:
         assert " ".join(cp.words(text)) == " ".join(_reference_tokens(text))
 
 
+def awkward_corpus(spec):
+    """A small corpus whose titles and comments hold JSON's and the line
+    reader's awkward characters and non-ASCII text."""
+    texts = ["tab\there", "line\nbreak", "cr\r", "back\\slash", 'quote"d', "nel\x85", "ls\u2028ps\u2029", "café ünï 東京 🎬", "c:\\new"]
+    interactions = [
+        Interaction(u, (u + t) % 12, 1 + (u * t) % 5, t, None if t == 2 else texts[(u + t) % len(texts)])
+        for u in range(8)
+        for t in range(6)
+    ]
+    catalog = {v: f"{texts[v % len(texts)]} title {v}" for v in range(12)}
+    return build_corpus(cp.ParseResult(interactions, catalog, 0), spec, history_limit=3)
+
+
+SPLIT_SPECS = [
+    SplitSpec(k_core=0, seed=2),
+    SplitSpec(mode="warm-cold", k_core=0, cold_user_fraction=0.25, seed=2),
+    SplitSpec(mode="few-shot", k_core=0, few_shot_n=5, seed=2),
+]
+CORPUS_FILES = ("interactions.jsonl", "catalog.jsonl", "vocab.txt", "corpus.json")
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, small_corpus):
         out = tmp_path / "corpus"
@@ -379,7 +396,8 @@ class TestPersistence:
         a, b = tmp_path / "a", tmp_path / "b"
         cp.save_corpus(small_corpus, str(a))
         cp.save_corpus(cp.load_corpus(str(a)), str(b))
-        for name in ("interactions.tsv", "catalog.tsv", "vocab.txt", "splits.tsv", "corpus.json"):
+        assert sorted(os.listdir(a)) == sorted(CORPUS_FILES)
+        for name in CORPUS_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_comment_escaping(self, tmp_path):
@@ -402,13 +420,8 @@ class TestPersistence:
         loaded = cp.load_corpus(str(tmp_path / "c"))
         assert corpus.has_comments == (others is not None)
         assert (loaded.has_comments, loaded.tasks) == (corpus.has_comments, corpus.tasks)
+        assert loaded.interactions[0].comment is None
         assert loaded.vocab.tokens == corpus.vocab.tokens
-
-    @given(st.text(alphabet=st.sampled_from("ab\\ntr\t\n\r")) | st.text())
-    def test_unescape_undoes_escape(self, text):
-        escaped = cp._escape(text)
-        assert not {"\t", "\n", "\r"} & set(escaped)
-        assert cp._unescape(escaped) == text
 
     def test_backslash_sequences_survive_round_trip(self, tmp_path):
         texts = ["c:\\new", "tab\\t and \\\\n", "ends in \\", "cr\r and \\r", "\\\tmixed\n"]
@@ -422,14 +435,112 @@ class TestPersistence:
         assert loaded.catalog == catalog
         assert " ".join(cp.words(loaded.interactions[0].comment)) == "c new"
 
-    def test_unknown_escape_is_a_corpus_error(self, tmp_path, small_corpus):
+    @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=[spec.mode for spec in SPLIT_SPECS])
+    def test_awkward_text_round_trips_in_every_split_mode(self, tmp_path, spec):
+        corpus = awkward_corpus(spec)
+        cp.save_corpus(corpus, str(tmp_path / "a"))
+        loaded = cp.load_corpus(str(tmp_path / "a"))
+        assert loaded.interactions == corpus.interactions
+        assert loaded.catalog == corpus.catalog
+        assert loaded.vocab.tokens == corpus.vocab.tokens
+        assert (loaded.spec, loaded.history_limit) == (corpus.spec, corpus.history_limit)
+        assert (loaded.split.dropped_users, loaded.split.cold_user_ids) == (corpus.split.dropped_users, corpus.split.cold_user_ids)
+        objects = {id(it) for it in loaded.interactions}
+        for name in cp.ROLES:
+            assert getattr(loaded.split, name) == getattr(corpus.split, name), name
+            # the same objects as the interaction list: the cold-user test compares with `is`
+            assert all(id(it) in objects for it in getattr(loaded.split, name)), name
+        for task in cp.TASKS:
+            for split_name in cp.ROLES:
+                assert examples_or_error(loaded, task, split_name) == examples_or_error(corpus, task, split_name)
+        for name in ("interactions.jsonl", "catalog.jsonl"):
+            assert "東京".encode() in (tmp_path / "a" / name).read_bytes(), name  # written as UTF-8, not \u escapes
+        cp.save_corpus(loaded, str(tmp_path / "b"))
+        for name in CORPUS_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def _damaged(tmp_path, small_corpus, name, edit):
+    """small_corpus saved under tmp_path, with `edit` applied to the lines of
+    file `name` (each with its newline); returns the corpus directory."""
+    out = tmp_path / "c"
+    cp.save_corpus(small_corpus, str(out))
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8", newline="")
+    return out
+
+
+# a bad line 2 of a file, each naming the check it fails
+BAD_LINES = {
+    "interactions.jsonl": [
+        "[0, 1, 4, 5, train, null]",  # not JSON
+        '{"user": 0}',  # not an array
+        '[0, 1, 4, 5, "train"]',  # too few fields
+        '[0, 1, 4, 5, "train", null, 1]',  # too many fields
+        '["0", 1, 4, 5, "train", null]',  # user is a string
+        '[0, 1.5, 4, 5, "train", null]',  # item is a float
+        '[0, 1, true, 5, "train", null]',  # rating is a bool
+        '[0, 1, 4, null, "train", null]',  # timestamp is null
+        '[0, 1, 4, 5, "holdout", null]',  # unknown role
+        '[0, 1, 4, 5, 0, null]',  # role is no string
+        '[0, 1, 4, 5, "train", 3]',  # comment is neither a string nor null
+        '[0, 1, 4, 5, "train", ["x"]]',
+    ],
+    "catalog.jsonl": ['[1, "a", "b"]', '["1", "title"]', "[1, null]", "[false, \"title\"]", "1\ttitle"],
+}
+
+
+class TestDamagedCorpusFiles:
+    @pytest.mark.parametrize("name, bad", [(name, bad) for name, lines in BAD_LINES.items() for bad in lines])
+    def test_malformed_line_names_file_and_line(self, tmp_path, small_corpus, name, bad):
+        out = _damaged(tmp_path, small_corpus, name, lambda lines: [lines[0], bad + "\n", *lines[2:]])
+        with pytest.raises(CorpusError, match=f"{re.escape(name)}:2: malformed line"):
+            cp.load_corpus(str(out))
+
+    def test_line_that_is_not_utf8_names_file_and_line(self, tmp_path, small_corpus):
         out = tmp_path / "c"
         cp.save_corpus(small_corpus, str(out))
-        with open(out / "catalog.tsv", "a", encoding="utf-8") as fh:
-            fh.write("999\tbad \\q escape\n")
-        n_lines = len((out / "catalog.tsv").read_text(encoding="utf-8").splitlines())
-        with pytest.raises(CorpusError, match=f"catalog.tsv:{n_lines}: .*unknown escape"):
+        path = out / "catalog.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b'[4, "caf\xe9"]'
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusError, match="catalog.jsonl:3: malformed line"):
             cp.load_corpus(str(out))
+
+    @pytest.mark.parametrize("name", ["interactions.jsonl", "catalog.jsonl", "vocab.txt"])
+    def test_every_cut_of_a_line_file_is_caught(self, tmp_path, small_corpus, name):
+        out = tmp_path / "c"
+        cp.save_corpus(small_corpus, str(out))
+        path = out / name
+        blob = path.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(blob) if byte == ord("\n")]
+        # each line boundary, and the middle and last byte of each line
+        inside = {(a + b) // 2 for a, b in zip([0] + ends, ends)} | {b - 1 for b in ends}
+        for cut in sorted(set(ends[:-1]) | {0} | inside):
+            path.write_bytes(blob[:cut])
+            whole = blob[:cut].count(b"\n")
+            cut_line = f"{re.escape(name)}:{whole + 1}: cut short"
+            counted = f"{re.escape(name)}: {whole} lines, but corpus.json records"
+            with pytest.raises(CorpusError, match=cut_line if cut in inside else counted):
+                cp.load_corpus(str(out))
+
+    def test_line_count_is_checked(self, tmp_path, small_corpus):
+        # a well-formed extra line, and one line too few, in each line file
+        for name in ("interactions.jsonl", "catalog.jsonl", "vocab.txt"):
+            for edit in (lambda lines: lines + lines[-1:], lambda lines: lines[:-1]):
+                out = _damaged(tmp_path, small_corpus, name, edit)
+                with pytest.raises(CorpusError, match=f"{re.escape(name)}: .* lines, but corpus.json records"):
+                    cp.load_corpus(str(out))
+
+    def test_cut_corpus_json_is_caught(self, tmp_path, small_corpus):
+        out = tmp_path / "c"
+        cp.save_corpus(small_corpus, str(out))
+        blob = (out / "corpus.json").read_bytes()
+        for cut in range(0, len(blob) - 1, 7):
+            (out / "corpus.json").write_bytes(blob[:cut])
+            with pytest.raises(CorpusError, match="corpus.json"):
+                cp.load_corpus(str(out))
 
 
 # interactions as a parser returns them: (user, item, timestamp) unique, and a

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fuserec import numerics as nm
 from fuserec.numerics import ContractError, NumericError, ShapeError, Tensor
 
-from gradcheck import finite_diff_check, tape_and_central_gradients
+from gradcheck import finite_diff_check
 
 
 def fd(f, x, eps=1e-5):
@@ -354,13 +354,11 @@ class TestCausalAttentionProperties:
             out = nm.matmul(nm.causal_attention(q_, k_, v_, lengths, n_heads, queries), probe)
             return nm.tsum(nm.mul(out, out))
 
-        # a random pack has gradient coordinates near 1e-8 next to ones near 1,
-        # where a central difference per coordinate reads round-off; so each
-        # gap is measured against the largest coordinate (at most 1.3e-9 of it
-        # over 300 random packs)
+        # a random pack has gradient coordinates near 1e-8 next to ones near 1;
+        # measured against the largest, the gaps stayed within 1.3e-9 of it
+        # over 300 random packs
         for f, x in ((lambda t: scalar(t, k, v), q), (lambda t: scalar(q, t, v), k), (lambda t: scalar(q, k, t), v)):
-            a, numeric = tape_and_central_gradients(f, x)
-            assert np.abs(a - numeric).max() <= 1e-7 * max(np.abs(a).max(), 1e-300)
+            assert finite_diff_check(f, x) < 1e-7
 
     @settings(max_examples=20, deadline=None)
     @given(pack=_attention_packs(), data=st.data())
@@ -455,11 +453,16 @@ class TestKernelProperties:
         def scalar(x_, gain_, bias_):
             return nm.tsum(nm.mul(nm.layer_norm(x_, gain_, bias_), probe))
 
-        # a step in proportion to the rows keeps round-off and truncation small
-        # at every scale; a row of two normalizes to about (1, -1) whatever
-        # its values, so its gradient is round-off to a difference quotient
-        if x.shape[1] != 2:
-            assert finite_diff_check(lambda t: scalar(t, gain, bias), x, eps=1e-3 * scale, order=4) < 1e-5
+        def with_x(x_):
+            return nm.add(scalar(x_, gain, bias), nm.tsum(nm.scale(x_, 1.0 / scale)))
+
+        # A row of two normalizes to about (1, -1) whatever its values. So a
+        # step must not cross between its two values: it is in proportion to
+        # the rows' smallest spread. And where they lie far apart its gradient
+        # is round-off: sum(x) / scale gives every coordinate a gradient of the
+        # size layer_norm's has at other widths, against which that is measured.
+        step = 1e-3 * np.sqrt(x.data.var(axis=1) + nm.LAYER_NORM_EPS).min()
+        assert finite_diff_check(with_x, x, eps=step, order=4) < 1e-5
         assert finite_diff_check(lambda t: scalar(x, t, bias), gain, order=4) < 1e-5
         assert finite_diff_check(lambda t: scalar(x, gain, t), bias, order=4) < 1e-5
 
@@ -476,10 +479,17 @@ class TestKernelProperties:
     @pytest.mark.parametrize("op, widths", [(nm.layer_norm, (5, 5, 5)), (nm.gelu, (5,))], ids=["layer_norm", "gelu"])
     def test_f32_in_gives_f32_values_and_grads(self, op, widths):
         rng = np.random.default_rng(40)
-        inputs = [Tensor(rng.normal(size=(3, w) if i == 0 else w).astype(np.float32), requires_grad=True) for i, w in enumerate(widths)]
-        value, grads = _value_and_grads(op, inputs, np.ones((3, 5), dtype=np.float32))
+        arrays = [rng.normal(size=(3, w) if i == 0 else w).astype(np.float32) for i, w in enumerate(widths)]
+        with np.errstate(invalid="raise"):
+            got = _value_and_grads(op, [Tensor(a, requires_grad=True) for a in arrays], np.ones((3, 5), np.float32))
+            want = _value_and_grads(op, [Tensor(a.astype(np.float64), requires_grad=True) for a in arrays], np.ones((3, 5)))
+        value, grads = got
         assert value.dtype == np.float32
-        assert [gr.dtype for gr in grads] == [np.float32] * len(inputs)
+        assert [gr.dtype for gr in grads] == [np.float32] * len(arrays)
+        # f32 keeps about 7 digits: each array within 1e-5 of its largest f64 entry
+        for f32, f64 in zip([value, *grads], [want[0], *want[1]]):
+            assert np.isfinite(f32).all()
+            assert np.abs(f32 - f64).max() <= 1e-5 * np.abs(f64).max()
 
 
 @st.composite
@@ -630,6 +640,28 @@ class TestFiniteDiffCheck:
     def test_sum_of_squares_is_nearly_exact(self):
         x = Tensor([[1.0, -2.0, 3.0, 0.5]])
         assert fd(lambda t: nm.tsum(nm.mul(t, t)), x) < 1e-7
+
+    @staticmethod
+    def square_with_gradient(grad):
+        """sum(x ** 2) as one op whose backward returns grad(2 x), not 2 x."""
+        return lambda t: nm._op("square", [t], np.sum(t.data**2), lambda g: [g * grad(2.0 * t.data)])
+
+    # gradient coordinates from 2e-7 to 6: measured against the largest, a
+    # gap of 1e-5 of it still shows
+    X = [[1e-7, -2.0, 3.0, 0.5, 1e-3]]
+
+    def test_gradient_scaled_by_1_001_rejected(self):
+        assert fd(self.square_with_gradient(lambda g: g), Tensor(self.X)) < 1e-7
+        assert fd(self.square_with_gradient(lambda g: 1.001 * g), Tensor(self.X)) > 1e-5
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_one_wrong_coordinate_rejected(self, i):
+        def one_off(g):
+            g = g.copy()
+            g[0, i] *= 1.01
+            return g
+
+        assert fd(self.square_with_gradient(one_off), Tensor(self.X)) > 1e-5
 
     def test_constant_softmax_function(self):
         # sum of a softmax row is constant; both gradients vanish on this fixture

@@ -1,6 +1,8 @@
 """SplitMix64 serves its draws from precomputed blocks; every draw, the
 counter and every sampler built on them must equal a plain per-call splitmix64."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,14 +115,15 @@ class TestBlockedStream:
 
 class TestNegativeSampling:
     def test_guarded_draws_equal_a_per_draw_replay(self, monkeypatch):
-        # user 0 owns every item, so each of its negatives runs the 100-draw
-        # guard to its end: 101 draws per negative, across block boundaries
+        # user 0 owns every item, so it gets no negatives; user 1 owns four of
+        # the five, so most of its draws are redrawn, across block boundaries
         n_items = 5
         data = [Interaction(0, v, 4, v) for v in range(n_items)]
-        data += [Interaction(u, (2 * u + t) % n_items, 3, t) for u in range(1, 4) for t in range(2)]
+        data += [Interaction(1, v, 2, v) for v in range(1, n_items)]
+        data += [Interaction(u, (2 * u + t) % n_items, 3, t) for u in range(2, 4) for t in range(2)]
         ui = {u: i for i, u in enumerate(sorted({it.user_id for it in data}))}
         vi = {v: i for i, v in enumerate(sorted({it.item_id for it in data}))}
-        cfg = CfTrainConfig(d_cf=3, epochs=3, batch_size=4, negatives_per_positive=2, seed=21)
+        cfg = CfTrainConfig(d_cf=3, epochs=10, batch_size=4, negatives_per_positive=3, seed=21)
         seen = []
         real = collab.score_batch
 
@@ -143,15 +146,51 @@ class TestNegativeSampling:
                 chunk = [events[i] for i in order[start : start + cfg.batch_size]]
                 us, vs = [u for u, _v in chunk], [v for _u, v in chunk]
                 for u, _v in chunk:
+                    if len(owned[u]) == n_items:
+                        continue
                     for _ in range(cfg.negatives_per_positive):
-                        neg, guard = rng.randbelow(n_items), 0
+                        neg = rng.randbelow(n_items)
                         draws += 1
-                        while neg in owned[u] and guard < 100:
-                            neg, guard = rng.randbelow(n_items), guard + 1
+                        while neg in owned[u]:
+                            neg = rng.randbelow(n_items)
                             draws += 1
                         us.append(u)
                         vs.append(neg)
                 want.append((us, vs))
         assert seen == want
         assert draws > 3 * BLOCK
+        assert all(u != ui[0] for us, _vs in seen for u in us[cfg.batch_size :])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        owned=st.lists(st.sets(st.integers(0, 5), min_size=1), min_size=1, max_size=5),
+        saturated=st.integers(0, 2),
+        negatives=st.integers(1, 3),
+        backend=st.sampled_from(["MF", "SeqAttn"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_no_sampled_negative_is_owned(self, owned, saturated, negatives, backend, seed):
+        owned = owned + [set(range(6))] * saturated
+        data = [Interaction(u, v, 3, t) for u, items in enumerate(owned) for t, v in enumerate(sorted(items))]
+        ui = {u: i for i, u in enumerate(sorted({it.user_id for it in data}))}
+        vi = {v: i for i, v in enumerate(sorted({it.item_id for it in data}))}
+        dense = {ui[u]: {vi[v] for v in items} for u, items in enumerate(owned)}
+        batches = []
+        real = collab.score_batch
+
+        def record(user_t, item_t, us, vs, owners, hists=None):
+            batches.append((list(us), list(vs), list(owners)))
+            return real(user_t, item_t, us, vs, owners, hists)
+
+        cfg = CfTrainConfig(backend=backend, d_cf=2, epochs=2, batch_size=4, negatives_per_positive=negatives, seed=seed)
+        with mock.patch.object(collab, "score_batch", record):
+            train_cf(data, ui, vi, cfg)
+        for us, vs, owners in batches:
+            # the positives come first, each its own owner; a negative's owner
+            # is the positive it was drawn for
+            n_pos = sum(1 for i, j in enumerate(owners) if i == j)
+            assert all(vs[i] not in dense[us[i]] for i in range(n_pos, len(us)))
+            for j in range(n_pos):
+                unseen = len(dense[us[j]]) < len(vi)
+                assert owners[n_pos:].count(j) == (negatives if unseen else 0)
 
