@@ -47,15 +47,11 @@ def atomic_open(path: str, binary: bool = False):
 
 def save_tensors(path: str, named: dict[str, np.ndarray]) -> None:
     names = sorted(named)
-    if len(set(names)) != len(names):
-        raise CheckpointError("duplicate tensor names")
     with atomic_open(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(names)))
         for name in names:
             arr = np.asarray(named[name])
-            if not arr.flags["C_CONTIGUOUS"]:
-                arr = np.ascontiguousarray(arr)  # 0-d stays 0-d: it is already contiguous
             if arr.dtype not in _CODES:
                 raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
             code = _CODES[arr.dtype]
@@ -64,7 +60,7 @@ def save_tensors(path: str, named: dict[str, np.ndarray]) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<BB", code, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+            fh.write(arr.astype(_DTYPES[code], copy=False).tobytes())  # C order, whatever arr's layout
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

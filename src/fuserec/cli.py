@@ -72,8 +72,9 @@ def _load_model(args, corpus: cp.Corpus, cf: CfEmbeddings) -> tr.RecModel:
 
 
 def cmd_train_cf(cfg: dict, args) -> int:
-    cf_cfg = build(CfTrainConfig, cfg, "cf", history_limit=cfg["corpus"]["history_limit"])
     corpus = _load_corpus(args)
+    # the limit the corpus was built with, which build_examples applies too
+    cf_cfg = build(CfTrainConfig, cfg, "cf", history_limit=corpus.history_limit)
     embs, losses = train_cf(corpus.split.train, corpus.user_index, corpus.item_index, cf_cfg)
     ckpt.save_tensors(args.out, {"cf.user_table": embs.user_table, "cf.item_table": embs.item_table})
     print(f"cf epochs: {len(losses)}; final loss {losses[-1]:.6f}; tables {embs.user_table.shape} / {embs.item_table.shape}")

@@ -44,6 +44,8 @@ class CfTrainConfig:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if not self.lr > 0:  # also rejects NaN
+            raise ValueError(f"lr: must be > 0, got {self.lr}")
 
 
 class CfEmbeddings:

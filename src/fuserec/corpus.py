@@ -73,8 +73,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("leave-one-out", "warm-cold", "few-shot"):
             raise CorpusError(f"mode: unknown split mode {self.mode!r}")
-        if self.k_core < 0:
-            raise CorpusError(f"k_core: must be >= 0, got {self.k_core}")
+        for name in ("k_core", "seed"):
+            if getattr(self, name) < 0:
+                raise CorpusError(f"{name}: must be >= 0, got {getattr(self, name)}")
         if (self.mode == "few-shot") != (self.few_shot_n is not None):
             raise CorpusError("few_shot_n: required iff mode is few-shot")
         if self.few_shot_n is not None and self.few_shot_n < 1:

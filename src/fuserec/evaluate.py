@@ -119,15 +119,11 @@ def auc(scores, labels) -> float:
     neg = int((labels == 0).sum())
     if pos == 0 or neg == 0:
         raise MetricError("AUC undefined without both classes")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    if not np.isfinite(scores).all():
+        raise MetricError("AUC undefined for non-finite scores")
+    # a group of tied scores spans ranks end - size + 1 .. end; each gets their mean
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(sizes) - (sizes - 1) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 

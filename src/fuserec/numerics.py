@@ -19,7 +19,6 @@ Nothing else fuses, parallelizes, or broadcasts beyond that.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required."""
 
 
-_NODE_IDS = itertools.count(1)
 _ACTIVE_TAPE: "Tape | None" = None
 
 DEFAULT_DTYPE = np.float64
@@ -50,7 +48,7 @@ class Tensor:
     owns parameter updates as a serial transaction between tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -58,7 +56,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
-        self.node_id = next(_NODE_IDS)
 
     @property
     def shape(self) -> tuple:
@@ -76,13 +73,13 @@ class Tensor:
 class Tape:
     """Ordered record of differentiable operations.
 
-    Each record holds (op name, input node ids, output node id, backward fn).
+    Each record holds (op name, input tensors, output tensor, backward fn).
     Records are appended in execution order, so inputs always precede their
     consumers and one reverse sweep visits each record exactly once.
     """
 
     def __init__(self):
-        self.records: list[tuple[str, tuple[int, ...], int, Callable]] = []
+        self.records: list[tuple[str, tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -97,7 +94,7 @@ class Tape:
         return False
 
     def record(self, name: str, inputs: Sequence[Tensor], out: Tensor, backward: Callable) -> None:
-        self.records.append((name, tuple(t.node_id for t in inputs), out.node_id, backward))
+        self.records.append((name, tuple(inputs), out, backward))
 
 
 def _op(name: str, inputs: Sequence[Tensor], value, backward: Callable) -> Tensor:
@@ -114,35 +111,34 @@ def _op(name: str, inputs: Sequence[Tensor], value, backward: Callable) -> Tenso
     return out
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> dict[int, Tensor]:
+def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, Tensor]:
     """Reverse sweep from a scalar loss.
 
-    Returns node_id -> gradient Tensor for each requires_grad leaf the loss
-    reached, a leaf being a tensor no record on the tape produced. Other
-    leaves get no entry; `grad_of` gives zeros for them.
+    Returns tensor -> gradient Tensor, keyed by identity, for each
+    requires_grad leaf the loss reached, a leaf being a tensor no record on the
+    tape produced. Other leaves get no entry; `grad_of` gives zeros for them.
     """
     tape = tape if tape is not None else _ACTIVE_TAPE
     if tape is None:
         raise ContractError("backward requires a tape")
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for _name, input_ids, out_id, bwd in reversed(tape.records):
-        g = grads.pop(out_id, None)
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    for _name, inputs, out, bwd in reversed(tape.records):
+        g = grads.pop(out, None)
         if g is None:
             continue
-        for nid, gin in zip(input_ids, bwd(g)):
+        for t, gin in zip(inputs, bwd(g)):
             if gin is None:
                 continue
-            acc = grads.get(nid)
-            grads[nid] = gin if acc is None else acc + gin
-    return {nid: Tensor(g) for nid, g in grads.items()}
+            acc = grads.get(t)
+            grads[t] = gin if acc is None else acc + gin
+    return {t: Tensor(g) for t, g in grads.items()}
 
 
-def grad_of(grads: dict[int, Tensor], t: Tensor) -> np.ndarray:
-    if t.node_id not in grads:
-        return np.zeros_like(t.data)
-    return grads[t.node_id].data
+def grad_of(grads: dict[Tensor, Tensor], t: Tensor) -> np.ndarray:
+    g = grads.get(t)
+    return np.zeros_like(t.data) if g is None else g.data
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def causal_attention(
     sequence (equal lengths need only a reshape), its query rows likewise to
     the most queries, and the scores of all sequences and heads form one
     (B, n_heads, Q, T) batch under an additive causal mask: the cached
-    triangle when every row asks, one built from the positions otherwise. The
+    triangle when every row asks, its rows at the positions otherwise. The
     mask alone keeps a real query off the padding, since padding only follows
     a sequence's rows; padded rows are dropped on the way out and get zero
     gradient. Non-finite scores or values raise NumericError.
@@ -354,12 +350,13 @@ def causal_attention(
         raise ShapeError(f"causal_attention: width {d} not divisible into {n_heads} heads")
     sizes = _segment_sizes(lengths, n)
     kv = _Padding(sizes)
+    # masks come in power-of-two sizes, so few are ever built; row p is the
+    # mask of a query at position p
+    tri = _future_mask(1 << (kv.t - 1).bit_length(), q.data.dtype)[: kv.t, : kv.t]
     if queries is None:
         if q.shape != k.shape:
             raise ShapeError(f"causal_attention: {q.shape[0]} query rows for {n} key rows")
-        qp = kv
-        # masks come in power-of-two sizes, so few are ever built
-        mask = _future_mask(1 << (kv.t - 1).bit_length(), q.data.dtype)[: kv.t, : kv.t]
+        qp, mask = kv, tri
     else:
         counts = [len(r) for r in queries]
         if len(counts) != len(sizes) or min(counts) < 1:
@@ -372,7 +369,7 @@ def causal_attention(
             row[: len(r)] = r
             if row.min() < 0 or row.max() >= size:
                 raise ContractError(f"query positions {list(r)} outside a sequence of {size} rows")
-        mask = np.where(np.arange(kv.t) > at[:, None, :, None], -1e30, 0.0).astype(q.data.dtype, copy=False)
+        mask = tri[at][:, None]  # padded query slots read row 0
     qh, kh, vh = qp.heads(q.data, n_heads), kv.heads(k.data, n_heads), kv.heads(v.data, n_heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     if not (np.isfinite(scores).all() and np.isfinite(v.data).all()):

@@ -32,9 +32,7 @@ class AdamW:
         b1c = 1.0 - self.BETA1**self.step_count
         b2c = 1.0 - self.BETA2**self.step_count
         for name in self.params:
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(self.params[name].data)
+            g = grads[name]
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
             m = self.m[name]

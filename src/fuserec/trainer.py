@@ -415,14 +415,12 @@ def train(
         t.data = t.data.astype(np.float32)
 
     with_collab, pooled = model.uses_collab_prompt(), model.reads_pooled_rows()
-    pools: dict[str, list[Prepared]] = {}
-    for task in tasks:
-        examples = build_examples(corpus, task, "train", n_neg=cfg.n_neg, seed=cfg.seed)
-        pools[task] = [prepare_example(ex, corpus, cf, with_collab, pooled) for ex in examples]
-    valid_pools: dict[str, list[Prepared]] = {}
-    for task in tasks:
-        examples = build_examples(corpus, task, "valid", n_neg=cfg.n_neg, seed=cfg.seed)
-        valid_pools[task] = [prepare_example(ex, corpus, cf, with_collab, pooled) for ex in examples]
+
+    def pools_of(split: str) -> dict[str, list[Prepared]]:
+        built = {task: build_examples(corpus, task, split, n_neg=cfg.n_neg, seed=cfg.seed) for task in tasks}
+        return {task: [prepare_example(ex, corpus, cf, with_collab, pooled) for ex in exs] for task, exs in built.items()}
+
+    pools, valid_pools = pools_of("train"), pools_of("valid")
     longest = max(
         (len(e.seq) for pool in (*pools.values(), *valid_pools.values()) for p in pool for e in (p.plain, p.collab) if e is not None),
         default=0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuserec import checkpoint as ckpt
+from fuserec import corpus as cp
 from fuserec.cli import main
-from fuserec.collab import CfTrainConfig
+from fuserec.collab import CfTrainConfig, train_cf
 from fuserec.config import RENAMES, SCHEMA, ConfigError, apply_set_overrides, build, default_config, load_config
 from fuserec.corpus import SplitSpec
 from fuserec.lm import LmConfig
@@ -56,6 +58,20 @@ class TestCheckpointContainer:
         ckpt.save_tensors(p1, tensors)
         ckpt.save_tensors(p2, ckpt.load_tensors(p1))
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_non_contiguous_and_0d_save_as_their_contiguous_copies(self, tmp_path):
+        rng = np.random.default_rng(2)
+        tensors = {"t.transposed": rng.normal(size=(3, 5)).T, "z.scalar": np.array(1.5, dtype=np.float32)}
+        assert not tensors["t.transposed"].flags["C_CONTIGUOUS"]
+        p1, p2 = str(tmp_path / "as_is.ckpt"), str(tmp_path / "copied.ckpt")
+        ckpt.save_tensors(p1, tensors)
+        # C-ordered copies; np.ascontiguousarray would make the 0-d array 1-d
+        ckpt.save_tensors(p2, {name: arr.copy(order="C") for name, arr in tensors.items()})
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        loaded = ckpt.load_tensors(p1)
+        for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape and loaded[name].dtype == arr.dtype
+            assert np.array_equal(loaded[name], arr)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
@@ -378,6 +394,25 @@ class TestPipeline:
         assert main(["evaluate", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--model", model_path, "--out", again]) == 0
         assert open(report_path, "rb").read() == open(again, "rb").read()
 
+    def test_train_cf_pools_under_the_corpus_history_limit(self, pipeline, tmp_path):
+        _root, cfg_path, data_path, *_rest = pipeline
+        corpus_dir = str(tmp_path / "corpus")
+        assert main(["build-corpus", "--config", cfg_path, "--input", data_path, "--out", corpus_dir, "--set", "corpus.history_limit=2"]) == 0
+        corpus = cp.load_corpus(corpus_dir)
+        assert corpus.history_limit == 2
+        cfg = build(CfTrainConfig, load_config(cfg_path, ["cf.backend=SeqAttn"]), "cf", history_limit=2)
+        want, _ = train_cf(corpus.split.train, corpus.user_index, corpus.item_index, cfg)
+        unlimited, _ = train_cf(corpus.split.train, corpus.user_index, corpus.item_index, dataclasses.replace(cfg, history_limit=10))
+        assert not np.array_equal(want.user_table, unlimited.user_table)  # the limit matters on this corpus
+        # the config's history_limit at train-cf time is not the corpus's
+        for extra in ([], ["--set", "corpus.history_limit=7"]):
+            out = str(tmp_path / f"cf{len(extra)}.ckpt")
+            argv = ["train-cf", "--config", cfg_path, "--corpus", corpus_dir, "--out", out, "--set", "cf.backend=SeqAttn"]
+            assert main(argv + extra) == 0
+            tables = ckpt.load_tensors(out)
+            assert np.array_equal(tables["cf.user_table"], want.user_table)
+            assert np.array_equal(tables["cf.item_table"], want.item_table)
+
 
 class TestSplitModes:
     def test_warm_cold_and_few_shot_builds(self, pipeline, tmp_path):
@@ -451,6 +486,18 @@ class TestExitCodes:
         argv = ["train", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--out", str(model)]
         assert main(argv + ["--set", "lm.max_len=20", "--set", "train.pretrain_steps=1"]) == 1
         assert capsys.readouterr().err.startswith("usage error: lm.max_len: ")
+        assert not model.exists()
+
+    def test_overflowing_training_is_a_numeric_failure(self, pipeline, tmp_path, capsys):
+        # the first update at this rate overflows the f32 model
+        _root, cfg_path, _data, corpus_dir, cf_path, *_rest = pipeline
+        model = tmp_path / "model.ckpt"
+        argv = ["train", "--config", cfg_path, "--corpus", corpus_dir, "--cf", cf_path, "--out", str(model)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+            assert main(argv + ["--set", "train.lr=1e30"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "non-finite" in err
+        assert "Traceback" not in err
         assert not model.exists()
 
     def test_data_error_for_missing_input(self, tmp_path):
@@ -527,6 +574,9 @@ class TestExitCodes:
             ("train", "train.lr=-1"),
             ("train-cf", "cf.seed=-1"),
             ("train", "train.seed=-1"),
+            ("train-cf", "cf.lr=0"),
+            ("train-cf", "cf.lr=nan"),
+            ("build-corpus", "corpus.seed=-1"),
         ],
     )
     def test_dataclass_rejection_is_a_usage_error(self, pipeline, tmp_path, capsys, command, assignment):

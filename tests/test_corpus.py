@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuserec import corpus as cp
+from fuserec.collab import CfTrainConfig, train_cf
 from fuserec.corpus import (
     CorpusError,
     Interaction,
@@ -21,6 +22,7 @@ from fuserec.corpus import (
     parse_interactions,
     render_prompt,
 )
+from fuserec.evaluate import cf_sampler
 
 from synthdata import two_genre_data, write_jsonl
 
@@ -189,6 +191,8 @@ class TestSplits:
             SplitSpec(mode="leave-one-out", cold_user_fraction=0.5)
         with pytest.raises(CorpusError):
             SplitSpec(mode="few-shot", few_shot_n=-3)
+        with pytest.raises(CorpusError, match="^seed: "):
+            SplitSpec(seed=-1)
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +260,43 @@ class TestExamples:
         for it in small_corpus.split.test:
             seq = small_corpus.by_user[it.user_id]
             assert it.timestamp == max(x.timestamp for x in seq)
+
+
+class TestHardNegatives:
+    def test_cf_sampler_negatives_are_its_first_unseen_items(self, small_corpus):
+        c = small_corpus
+        cf, _ = train_cf(c.split.train, c.user_index, c.item_index, CfTrainConfig(d_cf=8, epochs=2, lr=0.05, seed=4))
+        n_neg = 6
+        examples = build_examples(c, "TopK", "test", n_neg=n_neg, hard_sampler=cf_sampler(c, cf), seed=2)
+        assert examples
+        for ex in examples:
+            # the whole ranking, from the CF table itself
+            ranked = [c.item_ids[i] for i in cf.nearest_items(c.item_index[ex.label], len(c.item_ids) - 1)]
+            want = [v for v in ranked if v not in c.full_history(ex.user_id)][:n_neg]
+            assert sorted(v for v in ex.candidate_set if v != ex.label) == sorted(want)
+            assert ex.candidate_set.count(ex.label) == 1
+
+    def test_short_ranking_is_topped_up_with_random_unseen_items(self, small_corpus):
+        c = small_corpus
+        calls = []
+
+        def two_items(anchor, k):
+            calls.append((anchor, k))
+            return c.item_ids[:2]
+
+        n_neg = 5
+        examples = build_examples(c, "TopK", "test", n_neg=n_neg, hard_sampler=two_items, seed=7)
+        assert len(calls) == len(examples) > 0
+        for ex in examples:
+            seen = c.full_history(ex.user_id)
+            negs = [v for v in ex.candidate_set if v != ex.label]
+            assert ex.candidate_set.count(ex.label) == 1
+            assert len(negs) == n_neg == len(set(negs))
+            assert not set(negs) & seen
+            assert set(negs) <= set(c.item_ids)
+            # the sampler's unseen items come first and stay
+            assert {v for v in c.item_ids[:2] if v not in seen} <= set(negs)
+        assert build_examples(c, "TopK", "test", n_neg=n_neg, hard_sampler=two_items, seed=7) == examples
 
 
 class TestPrompts:

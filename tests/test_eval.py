@@ -233,6 +233,14 @@ class TestAuc:
         with pytest.raises(ev.MetricError):
             ev.auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ev.MetricError, match="non-finite"):
+            ev.auc([0.1, bad, 0.2, 0.3], [1, 0, 0, 1])
+
+    def test_signed_zeros_tie(self):
+        assert ev.auc([0.0, -0.0], [1, 0]) == 0.5
+
     def test_matches_brute_force_exactly(self):
         rng = SplitMix64(99)
         checked = 0
